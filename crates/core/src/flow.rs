@@ -152,7 +152,7 @@ pub struct MicroprocessorFlow {
     soc: SharedSoc,
     clock: sctc_sim::Clock,
     sctc: crate::checker::SharedSctc,
-    compiled: CompiledProgram,
+    compiled: Rc<CompiledProgram>,
     synthesis_wall: std::time::Duration,
     max_cycles_per_case: u64,
     flag_addr: Option<u32>,
@@ -160,8 +160,15 @@ pub struct MicroprocessorFlow {
 }
 
 impl MicroprocessorFlow {
-    /// Builds the flow: memory image, SoC, clock.
-    pub fn new(compiled: CompiledProgram, ram_bytes: u32, clock_period: u64) -> Self {
+    /// Builds the flow: memory image, SoC, clock. The program is only
+    /// read, so a shared `Rc` (such as a memoised image) is used without a
+    /// copy; a by-value program is wrapped.
+    pub fn new(
+        compiled: impl Into<Rc<CompiledProgram>>,
+        ram_bytes: u32,
+        clock_period: u64,
+    ) -> Self {
+        let compiled = compiled.into();
         let mem = compiled.build_memory(ram_bytes);
         let mut soc = Soc::new(mem);
         // The core must fetch in the encoding the program was serialised

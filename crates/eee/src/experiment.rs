@@ -4,7 +4,6 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use minic::codegen::{compile, CodegenOptions};
 use minic::Interp;
 use sctc_core::{DerivedModelFlow, EngineKind, MicroprocessorFlow, RunReport};
 use sctc_cpu::IsaKind;
@@ -17,7 +16,7 @@ use crate::flash::{
 };
 use crate::ops::Op;
 use crate::properties::{bind_derived, bind_micro, response_property};
-use crate::source::build_ir;
+use crate::source::{build_ir, compiled_program};
 
 /// Configuration of one experiment run.
 #[derive(Copy, Clone, Debug)]
@@ -179,15 +178,7 @@ pub fn run_micro_single(op: Op, config: ExperimentConfig) -> ExperimentOutcome {
 
 /// Microprocessor flow with an explicit property subset.
 pub fn run_micro_with_ops(config: ExperimentConfig, ops: &[Op]) -> ExperimentOutcome {
-    let ir = build_ir();
-    let compiled = compile(
-        &ir,
-        CodegenOptions {
-            isa: config.isa,
-            ..CodegenOptions::default()
-        },
-    )
-    .expect("EEE program compiles");
+    let compiled = compiled_program(config.isa);
     let addrs = MailboxAddrs::from_compiled(&compiled);
     let flash = share_flash(DataFlash::new());
 

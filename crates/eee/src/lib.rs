@@ -6,7 +6,9 @@
 //! * **DFALib** (data-flash access layer) and **EEELib** (emulation layer
 //!   with the operations `format, prepare, read, write, refresh, startup1,
 //!   startup2`) written in mini-C ([`EEE_SOURCE`]), heavily state-driven
-//!   with the shared `ready/abort/error/finish` states;
+//!   with the shared `ready/abort/error/finish` states; [`build_ir`] and
+//!   [`compiled_program`] hand out its IR and program image, built once
+//!   per thread;
 //! * a [`DataFlash`] hardware model (pages, NOR program/erase semantics,
 //!   busy cycles, injectable faults) with adapters for both flows;
 //! * a native-Rust [`RefEee`] reference model used as test oracle;
@@ -50,4 +52,4 @@ pub use flash::{
 pub use ops::{Op, RetCode, NUM_IDS, RECORDS_PER_PAGE};
 pub use properties::{bind_derived, bind_micro, response_property};
 pub use reference::{RefEee, Request};
-pub use source::{build_ir, EEE_SOURCE};
+pub use source::{build_ir, compiled_program, EEE_SOURCE};

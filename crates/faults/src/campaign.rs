@@ -6,16 +6,20 @@
 //! included — is a pure function of `(flow, cases, chunk, seed, percent)`
 //! and bit-identical for any `--jobs` value.
 
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use eee::{build_ir, share_flash, DataFlash, FlashMemory, FlashMmio, FlashReadWindow};
-use eee::{FLASH_READ_BASE, FLASH_READ_LEN, FLASH_REG_BASE, FLASH_REG_LEN};
-use minic::codegen::{compile, CodegenOptions};
+use eee::{
+    build_ir, compiled_program, share_flash, DataFlash, FlashMemory, FlashMmio, FlashReadWindow,
+    EEE_SOURCE, FLASH_READ_BASE, FLASH_READ_LEN, FLASH_REG_BASE, FLASH_REG_LEN,
+};
+use minic::codegen::{compile, CodegenOptions, CompiledProgram};
+use minic::ir::IrProgram;
 use minic::{Interp, SharedInterp};
 use sctc_campaign::{default_chunk, resolve_jobs, run_shards, shard_plan, FlowKind, ShardSpec};
 use sctc_core::{esw, sym, trace, DerivedModelFlow, EngineKind, MicroprocessorFlow, Proposition};
-use sctc_cpu::SharedSoc;
+use sctc_cpu::{IsaKind, SharedSoc};
 use sctc_temporal::{parse, Formula};
 
 use crate::matrix::{DetectionMatrix, ShardMatrix};
@@ -251,13 +255,62 @@ pub enum EswProgram {
     TornWrite,
 }
 
+thread_local! {
+    static TORN_WRITE_IR: Rc<IrProgram> = Rc::new(lower_torn_write());
+    static TORN_WRITE_IMAGE: Rc<CompiledProgram> = Rc::new(
+        compile(&EswProgram::TornWrite.ir(), CodegenOptions::default())
+            .expect("torn-write mutant compiles"),
+    );
+}
+
 impl EswProgram {
-    fn ir(self) -> std::rc::Rc<minic::ir::IrProgram> {
+    /// The program's IR, parsed and lowered once per thread (the healthy
+    /// build is [`eee::build_ir`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the torn-write mutation no longer applies to the embedded
+    /// source.
+    pub fn ir(self) -> Rc<IrProgram> {
         match self {
             EswProgram::Healthy => build_ir(),
-            EswProgram::TornWrite => crate::scenario::torn_write_ir(),
+            EswProgram::TornWrite => TORN_WRITE_IR.with(Rc::clone),
         }
     }
+
+    /// The program compiled with the default layout and encoding, once per
+    /// thread.
+    fn image(self) -> Rc<CompiledProgram> {
+        match self {
+            EswProgram::Healthy => compiled_program(IsaKind::Word32),
+            EswProgram::TornWrite => TORN_WRITE_IMAGE.with(Rc::clone),
+        }
+    }
+}
+
+/// Builds the torn-write mutant: the embedded source with the tag program
+/// and the value program of a record write swapped, parsed and lowered.
+fn lower_torn_write() -> IrProgram {
+    let tag_line = "            r = dfa_program(w, 12451840 + id);";
+    let value_line = "            r = dfa_program(w + 1, value);";
+    let staged = EEE_SOURCE.replacen(tag_line, "__TORN_SWAP__", 1);
+    assert_ne!(staged, EEE_SOURCE, "tag-program anchor must apply");
+    let staged = staged.replacen(
+        value_line,
+        "            r = dfa_program(w, 12451840 + id); // BUG: tag first",
+        1,
+    );
+    assert!(
+        staged.contains("// BUG: tag first"),
+        "value-program anchor must apply"
+    );
+    let source = staged.replacen(
+        "__TORN_SWAP__",
+        "            r = dfa_program(w + 1, value); // BUG: value second",
+        1,
+    );
+    assert!(!source.contains("__TORN_SWAP__"), "swap must complete");
+    minic::lower(&minic::parse(&source).expect("mutant parses")).expect("mutant lowers")
 }
 
 /// One self-contained fault-session run: a campaign shard, or one sample
@@ -334,8 +387,7 @@ fn run_derived_unit(unit: &FaultUnitSpec, plan: &FaultPlan) -> ShardMatrix {
 }
 
 fn run_micro_unit(unit: &FaultUnitSpec, plan: &FaultPlan) -> ShardMatrix {
-    let ir = unit.program.ir();
-    let compiled = compile(&ir, CodegenOptions::default()).expect("EEE program compiles");
+    let compiled = unit.program.image();
     let addrs = eee::driver::MailboxAddrs::from_compiled(&compiled);
     // The driver still pokes these mailbox words by raw address.
     let tb_reset = compiled.global_addr("tb_reset");
@@ -389,5 +441,30 @@ fn run_micro_unit(unit: &FaultUnitSpec, plan: &FaultPlan) -> ShardMatrix {
             .collect(),
         monitoring: report.monitoring,
         spans: report.spans,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn each_program_is_built_once_per_thread() {
+        for program in [EswProgram::Healthy, EswProgram::TornWrite] {
+            assert!(Rc::ptr_eq(&program.ir(), &program.ir()), "{program:?}");
+            assert!(
+                Rc::ptr_eq(&program.image(), &program.image()),
+                "{program:?}"
+            );
+        }
+        assert!(!Rc::ptr_eq(
+            &EswProgram::Healthy.ir(),
+            &EswProgram::TornWrite.ir()
+        ));
+        let fresh = compile(&lower_torn_write(), CodegenOptions::default()).expect("compiles");
+        let memo = EswProgram::TornWrite.image();
+        assert_eq!(memo.text, fresh.text);
+        assert_eq!(memo.global_addrs, fresh.global_addrs);
+        assert_ne!(memo.text, EswProgram::Healthy.image().text);
     }
 }

@@ -11,8 +11,8 @@
 
 use std::rc::Rc;
 
-use eee::{build_ir, share_flash, DataFlash, FlashMemory, FlashMmio, FlashReadWindow, Op, Request};
-use eee::{EEE_SOURCE, FLASH_READ_BASE, FLASH_READ_LEN, FLASH_REG_BASE, FLASH_REG_LEN};
+use eee::{share_flash, DataFlash, FlashMemory, FlashMmio, FlashReadWindow, Op, Request};
+use eee::{FLASH_READ_BASE, FLASH_READ_LEN, FLASH_REG_BASE, FLASH_REG_LEN};
 use minic::codegen::{compile, CodegenOptions};
 use minic::ir::IrProgram;
 use minic::Interp;
@@ -21,7 +21,7 @@ use sctc_core::{DerivedModelFlow, EngineKind, MicroprocessorFlow, RunReport, Wit
 use sctc_temporal::Verdict;
 
 use crate::campaign::{
-    bind_recovery_derived, bind_recovery_micro, intact_property, recovery_property,
+    bind_recovery_derived, bind_recovery_micro, intact_property, recovery_property, EswProgram,
 };
 use crate::matrix::FaultRecord;
 use crate::plan::{FaultEvent, FaultPlan, PlannedFault};
@@ -65,32 +65,14 @@ impl ScenarioOutcome {
 
 /// An ESW variant with the torn-write discipline inverted: the tag word is
 /// programmed before the value word, so a power loss between the two
-/// leaves a *visible* record with an erased (`-1`) value.
+/// leaves a *visible* record with an erased (`-1`) value. Built once per
+/// thread ([`EswProgram::ir`]).
 ///
 /// # Panics
 ///
 /// Panics if the mutation no longer applies to the embedded source.
 pub fn torn_write_ir() -> Rc<IrProgram> {
-    let tag_line = "            r = dfa_program(w, 12451840 + id);";
-    let value_line = "            r = dfa_program(w + 1, value);";
-    let staged = EEE_SOURCE.replacen(tag_line, "__TORN_SWAP__", 1);
-    assert_ne!(staged, EEE_SOURCE, "tag-program anchor must apply");
-    let staged = staged.replacen(
-        value_line,
-        "            r = dfa_program(w, 12451840 + id); // BUG: tag first",
-        1,
-    );
-    assert!(
-        staged.contains("// BUG: tag first"),
-        "value-program anchor must apply"
-    );
-    let source = staged.replacen(
-        "__TORN_SWAP__",
-        "            r = dfa_program(w + 1, value); // BUG: value second",
-        1,
-    );
-    assert!(!source.contains("__TORN_SWAP__"), "swap must complete");
-    Rc::new(minic::lower(&minic::parse(&source).expect("mutant parses")).expect("mutant lowers"))
+    EswProgram::TornWrite.ir()
 }
 
 /// The scenario script: bring-up, one committed record, then the write the
@@ -159,9 +141,10 @@ pub fn run_scenario_observed(
     }
 }
 
-/// Convenience: the healthy (in-tree) ESW.
+/// Convenience: the healthy (in-tree) ESW, built once per thread
+/// ([`EswProgram::ir`]).
 pub fn healthy_ir() -> Rc<IrProgram> {
-    build_ir()
+    EswProgram::Healthy.ir()
 }
 
 fn run_derived(

@@ -28,7 +28,7 @@ use crate::ast::{BinOp, UnOp};
 use crate::ir::{FuncId, IrExpr, IrFunction, IrProgram, IrStmt, Place, SeqId};
 
 /// Layout and limits for compilation.
-#[derive(Copy, Clone, Debug)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct CodegenOptions {
     /// Base address of the globals section (must lie above the text).
     pub global_base: u32,

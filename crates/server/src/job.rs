@@ -12,7 +12,7 @@
 
 use std::time::Duration;
 
-use faults::scenario::{healthy_ir, run_scenario_observed, torn_write_ir, ScenarioObs};
+use faults::scenario::{run_scenario_observed, ScenarioObs};
 use faults::{run_fault_campaign, EswProgram, FaultCampaignSpec};
 use sctc_campaign::{lease_workers, run_campaign, CampaignFingerprint, CampaignSpec, FlowKind};
 use sctc_core::{EngineKind, WitnessConfig};
@@ -368,10 +368,6 @@ pub fn run_job(spec: &JobSpec, options: &JobOptions) -> JobOutput {
             }
         }
         JobSpec::Scenario(j) => {
-            let ir = match j.program {
-                EswProgram::Healthy => healthy_ir(),
-                EswProgram::TornWrite => torn_write_ir(),
-            };
             let obs = ScenarioObs {
                 witnesses: j.want_witness.then(|| WitnessConfig {
                     capture_true: true,
@@ -382,7 +378,8 @@ pub fn run_job(spec: &JobSpec, options: &JobOptions) -> JobOutput {
                 engine: j.engine,
             };
             let started = std::time::Instant::now();
-            let (outcome, report) = run_scenario_observed(j.flow, ir, j.recovery_bound, obs);
+            let (outcome, report) =
+                run_scenario_observed(j.flow, j.program.ir(), j.recovery_bound, obs);
             JobOutput {
                 digest: JobDigest::Scenario {
                     fingerprint: fnv1a64(scenario_canonical(&outcome).as_bytes()),

@@ -21,10 +21,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use faults::scenario::{healthy_ir, run_scenario_observed, ScenarioObs};
-use faults::{
-    run_fault_unit, DetectionMatrix, EswProgram, FaultPlan, FaultUnitSpec, ShardMatrix,
-};
+use faults::scenario::{run_scenario_observed, ScenarioObs};
+use faults::{run_fault_unit, DetectionMatrix, EswProgram, FaultPlan, FaultUnitSpec, ShardMatrix};
 use sctc_campaign::{resolve_jobs, run_shards_until, shard_plan, FlowKind};
 use sctc_core::{trace, EngineKind};
 use sctc_temporal::Verdict;
@@ -345,10 +343,10 @@ pub fn run_sample(spec: &SmcSpec, index: u64) -> ShardMatrix {
         SmcWorkload::PlantedTorn { fail_per_mille } => {
             let mut coin = Stimulus::new(derive_seed_salted(spec.seed, SMC_PLANT_SALT, index));
             let planted = coin.int_in(0, 999) < fail_per_mille as i32;
-            let ir = if planted {
-                faults::scenario::torn_write_ir()
+            let program = if planted {
+                EswProgram::TornWrite
             } else {
-                healthy_ir()
+                EswProgram::Healthy
             };
             let obs = ScenarioObs {
                 profile: spec.profile,
@@ -356,7 +354,7 @@ pub fn run_sample(spec: &SmcSpec, index: u64) -> ShardMatrix {
                 ..ScenarioObs::default()
             };
             let (outcome, report) =
-                run_scenario_observed(spec.flow, ir, spec.recovery_bound, obs);
+                run_scenario_observed(spec.flow, program.ir(), spec.recovery_bound, obs);
             ShardMatrix {
                 start_case: 0,
                 test_cases: report.test_cases,

@@ -15,14 +15,13 @@
 
 use testkit::{DiffHarness, Source};
 
-use crate::c::codegen::{compile, CodegenOptions};
 use crate::c::{ExecState, Interp};
 use crate::case_study::driver::MailboxAddrs;
 use crate::case_study::flash::{
     FlashMmio, FlashReadWindow, FLASH_READ_BASE, FLASH_READ_LEN, FLASH_REG_BASE, FLASH_REG_LEN,
 };
 use crate::case_study::{
-    build_ir, share_flash, DataFlash, FlashMemory, Op, RefEee, Request, RetCode,
+    build_ir, compiled_program, share_flash, DataFlash, FlashMemory, Op, RefEee, Request, RetCode,
     ScriptedInterpDriver, NUM_IDS,
 };
 use crate::cpu::{Cpu, IsaKind, Soc};
@@ -91,15 +90,7 @@ pub fn run_compiled_cpu(script: &[Request]) -> EeeObs {
 /// encoding. The two encodings must observe identical behaviour — the
 /// harness compares them on every differential run.
 pub fn run_compiled_cpu_isa(script: &[Request], isa: IsaKind) -> EeeObs {
-    let ir = build_ir();
-    let compiled = compile(
-        &ir,
-        CodegenOptions {
-            isa,
-            ..CodegenOptions::default()
-        },
-    )
-    .expect("EEE compiles");
+    let compiled = compiled_program(isa);
     let addrs = MailboxAddrs::from_compiled(&compiled);
     let read_value_addr = compiled.global_addr("eee_read_value");
     let flash = share_flash(DataFlash::new());

@@ -1,0 +1,139 @@
+//! Golden fingerprints: small campaigns whose results are pinned as
+//! constants recorded from an earlier build.
+//!
+//! Every determinism suite compares two runs of the same build (jobs 1 vs
+//! N, engine vs engine), so a change that shifts every run the same way —
+//! a different program image, a reordered stimulus, a moved verdict —
+//! passes all of them. This file compares each run against a value that
+//! does not come from the build under test. Each campaign runs at jobs 1
+//! and 2; both must hit the pinned value.
+//!
+//! A deliberate semantic change re-pins these constants; the failure
+//! message prints the new value and the canonical rendering behind it.
+
+use esw_verify::campaign::{run_campaign, CampaignFingerprint, CampaignSpec, FlowKind};
+use esw_verify::cpu::IsaKind;
+use esw_verify::faults::{run_fault_campaign, EswProgram, FaultCampaignSpec};
+use esw_verify::smc::{run_smc_campaign, SmcSpec};
+use esw_verify::temporal::fnv1a64;
+
+const JOBS: [usize; 2] = [1, 2];
+/// Recovery bound of the micro-flow fault units, in clock cycles. A
+/// tenth of the production 200,000 keeps the recovery automaton's
+/// synthesis cheap in debug builds.
+const MICRO_RECOVERY_BOUND: u64 = 20_000;
+
+const DERIVED_CAMPAIGN: u64 = 0xb8b1_38de_7ee6_345d;
+/// Campaign fingerprints are encoding-independent, so Word32 and Comp16
+/// share one value.
+const MICRO_CAMPAIGN: u64 = 0xdc1b_630f_3638_4cab;
+const MICRO_FAULT_MATRIX: u64 = 0x4e17_1744_d4d1_69cf;
+const SMC_FAULTS_TORN_MICRO: u64 = 0xd9ec_502d_acad_113f;
+const SMC_PLANTED_TORN_DERIVED: u64 = 0x0754_3f64_252e_9b2a;
+
+/// Every field of a campaign fingerprint, one per line, in a fixed order.
+fn campaign_canonical(fp: &CampaignFingerprint) -> String {
+    let mut out = format!(
+        "cases={} samples={} ticks={} resumes={}\n",
+        fp.test_cases, fp.samples, fp.sim_ticks, fp.resumes
+    );
+    for (name, verdict, violating, decided) in &fp.properties {
+        out.push_str(&format!(
+            "property {name} {verdict:?} violating={violating:?} decided={decided}\n"
+        ));
+    }
+    out.push_str(&format!(
+        "coverage={:?} overall={}\n",
+        fp.coverage_bits, fp.overall_bits
+    ));
+    for line in fp.violations.iter().chain(&fp.anomalies) {
+        out.push_str(&format!("{line}\n"));
+    }
+    out.push_str(&format!("shards={:?}\n", fp.shard_cases));
+    out
+}
+
+fn assert_golden(name: &str, jobs: usize, pinned: u64, got: u64, canonical: &str) {
+    assert_eq!(
+        got, pinned,
+        "{name} at jobs={jobs}: fingerprint {got:#018x} != pinned {pinned:#018x}\n{canonical}"
+    );
+}
+
+fn check_campaign(name: &str, spec: &CampaignSpec, pinned: u64) {
+    for jobs in JOBS {
+        let report = run_campaign(&spec.clone().with_jobs(jobs));
+        let canonical = campaign_canonical(&report.fingerprint());
+        assert_golden(
+            name,
+            jobs,
+            pinned,
+            fnv1a64(canonical.as_bytes()),
+            &canonical,
+        );
+    }
+}
+
+#[test]
+fn derived_campaign_matches_its_golden_fingerprint() {
+    let spec = CampaignSpec::derived(40, 20080310).with_chunk(10);
+    check_campaign("derived campaign", &spec, DERIVED_CAMPAIGN);
+}
+
+#[test]
+fn micro_campaigns_match_their_golden_fingerprints_on_both_encodings() {
+    for isa in [IsaKind::Word32, IsaKind::Comp16] {
+        let spec = CampaignSpec::micro(6, 7).with_chunk(2).with_isa(isa);
+        check_campaign(&format!("micro campaign {isa:?}"), &spec, MICRO_CAMPAIGN);
+    }
+}
+
+#[test]
+fn micro_fault_matrix_matches_its_golden_fingerprint() {
+    let mut spec = FaultCampaignSpec::micro(6, 7)
+        .with_chunk(3)
+        .with_fault_percent(60);
+    spec.recovery_bound = MICRO_RECOVERY_BOUND;
+    for jobs in JOBS {
+        let matrix = run_fault_campaign(&spec.clone().with_jobs(jobs)).matrix;
+        assert_golden(
+            "micro fault matrix",
+            jobs,
+            MICRO_FAULT_MATRIX,
+            matrix.fingerprint(),
+            &matrix.canonical(),
+        );
+    }
+}
+
+#[test]
+fn smc_reports_match_their_golden_fingerprints() {
+    let mut faults = SmcSpec::faults(FlowKind::Microprocessor, 4, 11)
+        .with_program(EswProgram::TornWrite)
+        .with_max_samples(4);
+    faults.recovery_bound = MICRO_RECOVERY_BOUND;
+    let planted = SmcSpec::planted_torn(FlowKind::Derived, 300, 5).with_max_samples(12);
+    for (name, spec, pinned) in [
+        (
+            "smc faults (torn write, micro)",
+            faults,
+            SMC_FAULTS_TORN_MICRO,
+        ),
+        (
+            "smc planted torn (derived)",
+            planted,
+            SMC_PLANTED_TORN_DERIVED,
+        ),
+    ] {
+        for jobs in JOBS {
+            let report = run_smc_campaign(&spec.with_jobs(jobs));
+            assert_golden(
+                name,
+                jobs,
+                pinned,
+                report.fingerprint(),
+                &report.canonical(),
+            );
+        }
+    }
+}
