@@ -22,10 +22,12 @@
 //!    watch ranges, interpreter global slots, call-stack changes. A sample
 //!    whose dirty set is empty re-reads **zero** atoms.
 //! 3. **Stutter compression** — samples whose (projected) valuation cannot
-//!    have changed are not stepped one-by-one; the checker accumulates
-//!    them and flushes the run through
-//!    [`TableMonitor::step_many`] (O(log n) via the automaton's
-//!    stutter-run tables) at the next change or verdict query.
+//!    have changed are not stepped one-by-one; a check's run is the gap
+//!    between the sample index its monitor was advanced to and the current
+//!    one, flushed through [`TableMonitor::step_many`] (O(log n) via the
+//!    automaton's stutter-run tables) at the next change or verdict query.
+//!    While no observed model's watch epoch moves, a sample touches no
+//!    check at all (the clean path of [`Sctc::sample`]).
 //!
 //! Verdicts, decision sample indices and all campaign fingerprints are
 //! bit-identical to the naive pipeline, which remains available as
@@ -204,18 +206,37 @@ struct Atom {
     label: String,
 }
 
-/// One observed model whose write paths feed dirty flags into the atom
-/// table.
-enum DirtySource {
-    Soc {
-        soc: SharedSoc,
-        /// `(watch id in the model, atom index)`
-        watch_atoms: Vec<(usize, usize)>,
-    },
-    Interp {
-        interp: SharedInterp,
-        watch_atoms: Vec<(usize, usize)>,
-    },
+/// A model whose write paths feed dirty flags into the atom table.
+enum Model {
+    Soc(SharedSoc),
+    Interp(SharedInterp),
+}
+
+impl Model {
+    fn is(&self, other: &Model) -> bool {
+        match (self, other) {
+            (Model::Soc(a), Model::Soc(b)) => Rc::ptr_eq(a, b),
+            (Model::Interp(a), Model::Interp(b)) => Rc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+
+    fn watch_epoch(&self) -> u64 {
+        match self {
+            Model::Soc(soc) => soc.borrow().mem.watch_epoch(),
+            Model::Interp(interp) => interp.borrow().watch_epoch(),
+        }
+    }
+}
+
+/// One observed model and the watches this checker registered on it.
+struct DirtySource {
+    model: Model,
+    /// `(watch id in the model, atom index)`
+    watch_atoms: Vec<(usize, usize)>,
+    /// The model's watch epoch when this checker last drained the
+    /// watches: while it still reads the same, none of them is dirty.
+    drained_at: u64,
 }
 
 /// The monitor behind a change-driven check. A closed enum (not a trait
@@ -303,10 +324,12 @@ enum CheckEngine {
         monitor: DrivenMonitor,
         /// Atom index feeding each automaton prop bit.
         atom_bits: Vec<usize>,
-        /// The valuation of the last stepped (or pending) samples.
+        /// The valuation of the last stepped (or deferred) samples.
         last_valuation: u64,
-        /// Identical-valuation samples not yet applied to the monitor.
-        pending: u64,
+        /// The sample index the monitor has been advanced to. While the
+        /// check is undecided, the samples after it up to the current one
+        /// are a stutter run of `last_valuation` not yet applied.
+        advanced_to: u64,
         /// Whether `last_valuation` holds a real observation yet.
         primed: bool,
     },
@@ -575,6 +598,10 @@ pub struct Sctc {
     changed: Vec<u64>,
     /// Scratch: atoms needed by undecided driven checks this sample.
     needed: Vec<u64>,
+    /// Set when the next sample may take the clean path (see
+    /// [`Sctc::sample`]): the exact `atoms_total` increment of such a
+    /// sample.
+    clean: Option<u64>,
     samples: u64,
     counters: MonitorCounters,
     /// Diagnosis-layer capture; `None` (the default) disables everything.
@@ -688,6 +715,7 @@ impl Sctc {
             engine,
             synthesis,
         });
+        self.clean = None;
         Ok(())
     }
 
@@ -708,7 +736,7 @@ impl Sctc {
             monitor,
             atom_bits,
             last_valuation: 0,
-            pending: 0,
+            advanced_to: self.samples,
             primed: false,
         })
     }
@@ -738,7 +766,7 @@ impl Sctc {
             Some(Watch::MemWord { soc, addr }) => {
                 if word_in_ram(&soc.borrow().mem, addr) {
                     let wid = soc.borrow_mut().mem.watch_range(addr, 4);
-                    self.soc_source(&soc).push((wid, idx));
+                    self.watch_source(Model::Soc(soc.clone())).push((wid, idx));
                     let soc_ref = soc.borrow();
                     let (start, len, _) = soc_ref.mem.watch_info(wid);
                     (false, mem_write_label(&soc_ref.mem, start, len))
@@ -762,7 +790,7 @@ impl Sctc {
                 // word, refine only the label.
                 if word_in_ram(&soc.borrow().mem, addr) {
                     let wid = soc.borrow_mut().mem.watch_range(addr, 4);
-                    self.soc_source(&soc).push((wid, idx));
+                    self.watch_source(Model::Soc(soc.clone())).push((wid, idx));
                     let label = field_write_label(&soc.borrow().mem, addr, lsb, width);
                     (false, label)
                 } else {
@@ -774,13 +802,15 @@ impl Sctc {
             }
             Some(Watch::Global { interp, name }) => {
                 let wid = interp.borrow_mut().watch_global(&name);
-                self.interp_source(&interp).push((wid, idx));
+                self.watch_source(Model::Interp(interp.clone()))
+                    .push((wid, idx));
                 let label = interp.borrow().watch_label(wid);
                 (false, label)
             }
             Some(Watch::Fname { interp }) => {
                 let wid = interp.borrow_mut().watch_fname();
-                self.interp_source(&interp).push((wid, idx));
+                self.watch_source(Model::Interp(interp.clone()))
+                    .push((wid, idx));
                 let label = interp.borrow().watch_label(wid);
                 (false, label)
             }
@@ -799,39 +829,20 @@ impl Sctc {
         idx
     }
 
-    fn soc_source(&mut self, soc: &SharedSoc) -> &mut Vec<(usize, usize)> {
-        let pos = self
-            .sources
-            .iter()
-            .position(|s| matches!(s, DirtySource::Soc { soc: have, .. } if Rc::ptr_eq(have, soc)));
-        let pos = pos.unwrap_or_else(|| {
-            self.sources.push(DirtySource::Soc {
-                soc: soc.clone(),
-                watch_atoms: Vec::new(),
-            });
-            self.sources.len() - 1
-        });
-        match &mut self.sources[pos] {
-            DirtySource::Soc { watch_atoms, .. } => watch_atoms,
-            DirtySource::Interp { .. } => unreachable!("position matched a Soc source"),
-        }
-    }
-
-    fn interp_source(&mut self, interp: &SharedInterp) -> &mut Vec<(usize, usize)> {
-        let pos = self.sources.iter().position(
-            |s| matches!(s, DirtySource::Interp { interp: have, .. } if Rc::ptr_eq(have, interp)),
-        );
-        let pos = pos.unwrap_or_else(|| {
-            self.sources.push(DirtySource::Interp {
-                interp: interp.clone(),
-                watch_atoms: Vec::new(),
-            });
-            self.sources.len() - 1
-        });
-        match &mut self.sources[pos] {
-            DirtySource::Interp { watch_atoms, .. } => watch_atoms,
-            DirtySource::Soc { .. } => unreachable!("position matched an Interp source"),
-        }
+    /// The watch list of `model`'s dirty source, created on first use.
+    fn watch_source(&mut self, model: Model) -> &mut Vec<(usize, usize)> {
+        let pos = match self.sources.iter().position(|s| s.model.is(&model)) {
+            Some(pos) => pos,
+            None => {
+                self.sources.push(DirtySource {
+                    model,
+                    watch_atoms: Vec::new(),
+                    drained_at: 0,
+                });
+                self.sources.len() - 1
+            }
+        };
+        &mut self.sources[pos].watch_atoms
     }
 
     /// Number of registered properties.
@@ -860,6 +871,7 @@ impl Sctc {
         let obs = self.obs.get_or_insert_with(ObsState::new);
         obs.witness_cfg = Some(cfg);
         obs.checks.clear();
+        self.clean = None;
     }
 
     /// Enables property-timeline VCD capture (one scope per property with
@@ -869,6 +881,7 @@ impl Sctc {
         let obs = self.obs.get_or_insert_with(ObsState::new);
         obs.vcd = Some(VcdDoc::new());
         obs.checks.clear();
+        self.clean = None;
     }
 
     /// Attaches a span profiler; `sample` and `automaton-step` spans are
@@ -988,24 +1001,59 @@ impl Sctc {
 
     /// Takes one observation: refreshes dirty atoms, projects per-property
     /// valuations, and advances every monitor by (logically) one step.
-    /// Stutter samples — no needed atom changed — are only counted and
-    /// applied in bulk later.
+    ///
+    /// A stutter sample — no atom an undecided check needs changed —
+    /// steps no monitor. A check's pending stutter run is the gap between
+    /// the sample index its monitor has been advanced to and the current
+    /// one; the next change or verdict query applies it in bulk.
+    ///
+    /// A *clean* sample touches no check and no atom: it only counts
+    /// itself and the exact `atoms_total` the full path would add. It is
+    /// taken when no observed model's watch epoch moved since the last
+    /// full sample drained its watches, and that full sample left every
+    /// undecided driven check primed (it steps any unprimed one), no
+    /// always-dirty atom needed, no undecided naive check and no witness
+    /// or VCD capture. `add_property`, `reset`, enabling capture and a
+    /// verdict query whose flush decides a check force the full path.
     pub fn sample(&mut self) {
+        let sample_t0 = self.hot_begin();
+        match self.clean {
+            Some(atoms_total)
+                if self
+                    .sources
+                    .iter()
+                    .all(|s| s.model.watch_epoch() == s.drained_at) =>
+            {
+                self.samples += 1;
+                self.counters.atoms_total += atoms_total;
+            }
+            _ => self.full_sample(),
+        }
+        if let (Some(t0), Some(hot)) = (sample_t0, self.hot.as_mut()) {
+            hot.sample_timed += 1;
+            hot.sample_wall += t0.elapsed();
+        }
+    }
+
+    /// The sample with every stage run; decides whether the next sample
+    /// may take the clean path.
+    fn full_sample(&mut self) {
         if self.obs.is_some() {
             self.obs_sync();
         }
-        let sample_t0 = self.hot_begin();
         self.samples += 1;
         let sample_idx = self.samples;
         let mut evaluated_this_sample = 0u64;
 
         // Naive/lazy checks are self-contained.
+        let mut naive_live = false;
         let mut naive_total = 0u64;
         for (ci, check) in self.checks.iter_mut().enumerate() {
             if let CheckEngine::Naive { monitor, props } = &mut check.engine {
                 if monitor.verdict().is_decided() {
                     continue;
                 }
+                naive_live = true;
                 let mut valuation = 0u64;
                 for (bit, prop) in props.iter_mut().enumerate() {
                     if prop.is_true() {
@@ -1045,30 +1093,34 @@ impl Sctc {
             }
         }
 
+        // What a clean successor sample adds to `atoms_total`: the atoms
+        // of the driven checks still undecided after stage 3.
+        let mut clean_total = 0u64;
+        let mut volatile_needed = false;
         if any_driven {
-            // Stage 1: pull dirty flags from the model write paths.
+            // Stage 1: pull dirty flags from the model write paths, and
+            // note each model's epoch as of the drain.
             for source in &mut self.sources {
-                match source {
-                    DirtySource::Soc { soc, watch_atoms } => {
+                source.drained_at = match &source.model {
+                    Model::Soc(soc) => {
                         let mut soc = soc.borrow_mut();
-                        for &(wid, aidx) in watch_atoms.iter() {
+                        for &(wid, aidx) in &source.watch_atoms {
                             if soc.mem.take_dirty_watch(wid) {
                                 self.atoms[aidx].dirty = true;
                             }
                         }
+                        soc.mem.watch_epoch()
                     }
-                    DirtySource::Interp {
-                        interp,
-                        watch_atoms,
-                    } => {
+                    Model::Interp(interp) => {
                         let mut interp = interp.borrow_mut();
-                        for &(wid, aidx) in watch_atoms.iter() {
+                        for &(wid, aidx) in &source.watch_atoms {
                             if interp.take_dirty_watch(wid) {
                                 self.atoms[aidx].dirty = true;
                             }
                         }
+                        interp.watch_epoch()
                     }
-                }
+                };
             }
 
             // Stage 2: evaluate needed atoms that are (always-)dirty, once
@@ -1080,6 +1132,7 @@ impl Sctc {
                     // that eventually needs them again.
                     continue;
                 }
+                volatile_needed |= atom.always_dirty;
                 if atom.dirty || atom.always_dirty {
                     let v = atom.prop.is_true();
                     atom.dirty = false;
@@ -1092,8 +1145,8 @@ impl Sctc {
                 }
             }
 
-            // Stage 3: project and step. Unchanged valuations accumulate
-            // as pending stutter; a change flushes the pending run through
+            // Stage 3: project and step. An unchanged valuation extends
+            // the check's stutter run; a change flushes the run through
             // step_many and then steps the new valuation.
             let step_t0 = self.hot.as_mut().and_then(|hot| {
                 hot.steps += 1;
@@ -1104,7 +1157,7 @@ impl Sctc {
                     monitor,
                     atom_bits,
                     last_valuation,
-                    pending,
+                    advanced_to,
                     primed,
                 } = &mut check.engine
                 else {
@@ -1114,16 +1167,16 @@ impl Sctc {
                     continue;
                 }
                 if *primed && !atom_bits.iter().any(|&a| get_bit(&self.changed, a)) {
-                    *pending += 1;
+                    clean_total += atom_bits.len() as u64;
                     if let Some(obs) = self.obs.as_mut() {
                         obs.on_stutter(ci);
                     }
                     continue;
                 }
-                if *pending > 0 {
-                    self.counters.steps_compressed += *pending;
-                    monitor.step_many(*last_valuation, *pending);
-                    *pending = 0;
+                let run = sample_idx - 1 - *advanced_to;
+                if run > 0 {
+                    self.counters.steps_compressed += run;
+                    monitor.step_many(*last_valuation, run);
                     if monitor.verdict().is_decided() {
                         // The deferred run decided at an earlier sample;
                         // this sample is not consumed (exactly as the
@@ -1149,10 +1202,14 @@ impl Sctc {
                     obs.on_step(ci, sample_idx, valuation, monitor.state());
                 }
                 monitor.step(valuation);
+                *advanced_to = sample_idx;
                 *last_valuation = valuation;
                 *primed = true;
                 if let Some(obs) = self.obs.as_mut() {
                     obs.on_verdict(ci, &check.name, monitor.verdict(), monitor.decided_at());
+                }
+                if !monitor.verdict().is_decided() {
+                    clean_total += atom_bits.len() as u64;
                 }
             }
             if let (Some(t0), Some(hot)) = (step_t0, self.hot.as_mut()) {
@@ -1164,10 +1221,7 @@ impl Sctc {
         if evaluated_this_sample > 0 {
             self.counters.dirty_wakeups += 1;
         }
-        if let (Some(t0), Some(hot)) = (sample_t0, self.hot.as_mut()) {
-            hot.sample_timed += 1;
-            hot.sample_wall += t0.elapsed();
-        }
+        self.clean = (self.obs.is_none() && !naive_live && !volatile_needed).then_some(clean_total);
     }
 
     /// Applies every pending stutter run to its monitor (the verdict-query
@@ -1177,14 +1231,20 @@ impl Sctc {
             if let CheckEngine::Driven {
                 monitor,
                 last_valuation,
-                pending,
+                advanced_to,
                 ..
             } = &mut check.engine
             {
-                if *pending > 0 {
-                    self.counters.steps_compressed += *pending;
-                    monitor.step_many(*last_valuation, *pending);
-                    *pending = 0;
+                let run = self.samples - *advanced_to;
+                if run > 0 && !monitor.verdict().is_decided() {
+                    self.counters.steps_compressed += run;
+                    monitor.step_many(*last_valuation, run);
+                    *advanced_to = self.samples;
+                    if monitor.verdict().is_decided() {
+                        // The undecided set shrank, and with it what a
+                        // clean sample counts.
+                        self.clean = None;
+                    }
                 }
             }
             if let Some(obs) = self.obs.as_mut() {
@@ -1233,6 +1293,11 @@ impl Sctc {
     pub fn reset_sample_count(&mut self) {
         self.flush_pending();
         self.samples = 0;
+        for check in &mut self.checks {
+            if let CheckEngine::Driven { advanced_to, .. } = &mut check.engine {
+                *advanced_to = 0;
+            }
+        }
     }
 
     /// Returns the checker to its initial state for a new test case:
@@ -1247,13 +1312,13 @@ impl Sctc {
                 CheckEngine::Driven {
                     monitor,
                     last_valuation,
-                    pending,
+                    advanced_to,
                     primed,
                     ..
                 } => {
                     monitor.reset();
                     *last_valuation = 0;
-                    *pending = 0;
+                    *advanced_to = 0;
                     *primed = false;
                 }
                 CheckEngine::Naive { monitor, .. } => monitor.reset(),
@@ -1265,6 +1330,7 @@ impl Sctc {
         self.values.iter_mut().for_each(|w| *w = 0);
         self.changed.iter_mut().for_each(|w| *w = 0);
         self.samples = 0;
+        self.clean = None;
         // Per-case capture state restarts; witnesses already captured (and
         // the VCD document, whose timeline is per-run) are kept.
         if let Some(obs) = self.obs.as_mut() {
@@ -1746,6 +1812,78 @@ mod tests {
         sctc.sample();
         assert!(sctc.take_witnesses().is_empty());
         assert!(sctc.take_vcd().is_none());
+    }
+
+    #[test]
+    fn clean_path_engages_only_when_no_stage_has_work() {
+        use minic::{lower, parse as parse_c, Interp};
+        let src = "int g = 0; int h = 0; int main() { return 0; }";
+        let ir = std::rc::Rc::new(lower(&parse_c(src).unwrap()).unwrap());
+        let interp = minic::share_interp(Interp::with_virtual_memory(ir));
+        let resp = parse("G (go -> F[<=30] done)").unwrap();
+        let props = || {
+            vec![
+                crate::proposition::esw::global_eq("go", interp.clone(), "g", 1),
+                crate::proposition::esw::global_eq("done", interp.clone(), "g", 2),
+            ]
+        };
+        let mut sctc = Sctc::new();
+        sctc.add_property("resp", &resp, props(), EngineKind::Compiled)
+            .unwrap();
+        assert_eq!(sctc.clean, None, "a new property is unprimed");
+        sctc.sample();
+        assert_eq!(sctc.clean, Some(2), "a clean sample counts both atoms");
+        let epoch = interp.borrow().watch_epoch();
+        interp.borrow_mut().set_global_by_name("h", 7);
+        assert_eq!(interp.borrow().watch_epoch(), epoch, "`h` is unwatched");
+        for _ in 0..10 {
+            sctc.sample();
+        }
+        let c = sctc.counters();
+        assert_eq!((c.atoms_evaluated, c.atoms_total), (2, 22));
+        interp.borrow_mut().set_global_by_name("g", 1);
+        sctc.sample();
+        assert_eq!(sctc.counters().steps_compressed, 10, "the run is flushed");
+        assert_eq!(sctc.clean, Some(2));
+        // Starve the response: a query whose flush decides resets the cache.
+        for _ in 0..40 {
+            sctc.sample();
+        }
+        assert_eq!(sctc.clean, Some(2), "the deciding run is still deferred");
+        assert!(sctc.any_violated());
+        assert_eq!(sctc.clean, None);
+        sctc.sample();
+        assert_eq!(sctc.clean, Some(0), "nothing undecided to count");
+        sctc.reset();
+        assert_eq!(sctc.clean, None);
+
+        // Always-dirty atoms, naive checks and capture keep the full path.
+        let closure = Rc::new(Cell::new(false));
+        let mut volatile = Sctc::new();
+        volatile
+            .add_property(
+                "v",
+                &parse("G[<=50] a").unwrap(),
+                vec![flag_prop("a", closure.clone())],
+                EngineKind::Table,
+            )
+            .unwrap();
+        closure.set(true);
+        volatile.sample();
+        assert_eq!(volatile.clean, None, "closure atoms are always dirty");
+        let mut naive = Sctc::new();
+        naive
+            .add_property("n", &resp, props(), EngineKind::Naive)
+            .unwrap();
+        naive.sample();
+        assert_eq!(naive.clean, None, "naive checks sample every time");
+        let mut captured = Sctc::new();
+        captured.enable_witnesses(WitnessConfig::default());
+        captured
+            .add_property("c", &resp, props(), EngineKind::Table)
+            .unwrap();
+        captured.sample();
+        assert_eq!(captured.clean, None, "witness capture records every sample");
     }
 
     /// Holds the testbench value steady between the scripted writes.

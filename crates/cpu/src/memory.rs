@@ -97,6 +97,8 @@ pub struct Memory {
     ram: Vec<u8>,
     mappings: Vec<Mapping>,
     watches: Vec<WatchRange>,
+    /// See [`Memory::watch_epoch`].
+    watch_epoch: u64,
     /// The typed symbol bus, when attached: names/widths/bitfields for
     /// the words of this image (see [`SymbolMap`]). Display-layer only —
     /// attachment never changes access semantics.
@@ -111,6 +113,7 @@ impl Memory {
             ram: vec![0; ram_bytes as usize],
             mappings: Vec::new(),
             watches: Vec::new(),
+            watch_epoch: 0,
             symbols: None,
         }
     }
@@ -141,7 +144,18 @@ impl Memory {
             device,
             dirty: true,
         });
+        self.watch_epoch += 1;
         self.watches.len() - 1
+    }
+
+    /// A counter that advances whenever a watch turns from clean to dirty,
+    /// when a watch is registered, and on wholesale invalidation. Taking a
+    /// dirty flag never moves it, so an observer that drained all of its
+    /// watches when the epoch read `e` knows none of them has been dirtied
+    /// while the epoch still reads `e` — however many other observers
+    /// share this memory and drain their own watches in between.
+    pub fn watch_epoch(&self) -> u64 {
+        self.watch_epoch
     }
 
     /// Takes and clears the dirty flag of one watch.
@@ -170,20 +184,23 @@ impl Memory {
         for w in &mut self.watches {
             w.dirty = true;
         }
+        self.watch_epoch += 1;
     }
 
     fn mark_ram_write(&mut self, addr: u32) {
         for w in &mut self.watches {
             if !w.dirty && addr + 4 > w.start && addr < w.start.saturating_add(w.len) {
                 w.dirty = true;
+                self.watch_epoch += 1;
             }
         }
     }
 
     fn mark_device_activity(&mut self) {
         for w in &mut self.watches {
-            if w.device {
+            if w.device && !w.dirty {
                 w.dirty = true;
+                self.watch_epoch += 1;
             }
         }
     }
@@ -600,5 +617,131 @@ mod tests {
         mem.tick_devices();
         assert!(!mem.take_dirty_watch(ram_id));
         assert!(mem.take_dirty_watch(dev_id));
+    }
+
+    /// A device that reports itself idle, so its ticks are not activity.
+    struct Idle;
+
+    impl MmioDevice for Idle {
+        fn read_word(&mut self, _offset: u32) -> u32 {
+            0
+        }
+        fn write_word(&mut self, _offset: u32, _value: u32) {}
+        fn peek_word(&self, _offset: u32) -> u32 {
+            0
+        }
+        fn state_may_change(&self) -> bool {
+            false
+        }
+    }
+
+    /// Asserts that `act` moves the watch epoch forward, then drains every
+    /// watch so the next action starts from all-clean.
+    fn advances(mem: &mut Memory, ids: &[usize], what: &str, act: impl FnOnce(&mut Memory)) {
+        let before = mem.watch_epoch();
+        act(mem);
+        assert!(mem.watch_epoch() > before, "{what} must advance the epoch");
+        for &id in ids {
+            mem.take_dirty_watch(id);
+        }
+    }
+
+    /// Asserts that `act` leaves the watch epoch where it was.
+    fn stays(mem: &mut Memory, what: &str, act: impl FnOnce(&mut Memory)) {
+        let before = mem.watch_epoch();
+        act(mem);
+        assert_eq!(mem.watch_epoch(), before, "{what} must not move the epoch");
+    }
+
+    #[test]
+    fn watch_epoch_advances_on_every_clean_to_dirty_transition() {
+        let mut mem = Memory::new(64);
+        mem.map_device(0x100, 0x10, Box::new(ClearOnRead { value: 0, ticks: 0 }));
+        let before = mem.watch_epoch();
+        let ram = mem.watch_range(8, 4);
+        assert!(mem.watch_epoch() > before, "a new watch starts dirty");
+        let before = mem.watch_epoch();
+        let dev = mem.watch_range(0x104, 4);
+        assert!(
+            mem.watch_epoch() > before,
+            "a new device watch starts dirty"
+        );
+        let ids = [ram, dev];
+        for id in ids {
+            mem.take_dirty_watch(id);
+        }
+        advances(&mut mem, &ids, "a watched RAM write", |m| {
+            m.write_u32(8, 1).unwrap();
+        });
+        advances(&mut mem, &ids, "rewriting the same value", |m| {
+            m.write_u32(8, 1).unwrap();
+        });
+        advances(&mut mem, &ids, "a device write", |m| {
+            m.write_u32(0x108, 2).unwrap();
+        });
+        advances(&mut mem, &ids, "a device read", |m| {
+            m.read_u32(0x100).unwrap();
+        });
+        advances(
+            &mut mem,
+            &ids,
+            "an active device tick",
+            Memory::tick_devices,
+        );
+        let snap = mem.snapshot_ram();
+        advances(&mut mem, &ids, "restore_ram", |m| m.restore_ram(&snap));
+        advances(&mut mem, &ids, "load_image", |m| m.load_image(32, &[7]));
+    }
+
+    #[test]
+    fn watch_epoch_stays_put_without_a_new_dirty_watch() {
+        let mut mem = Memory::new(64);
+        mem.map_device(0x100, 0x10, Box::new(Idle));
+        let ids = settled_watches(&mut mem, &[8, 16]);
+        stays(&mut mem, "an unwatched write", |m| {
+            m.write_u32(32, 5).unwrap()
+        });
+        stays(&mut mem, "peek_u32", |m| {
+            m.peek_u32(8).unwrap();
+            m.peek_u32(0x100).unwrap();
+        });
+        stays(&mut mem, "a read_u16 fetch", |m| {
+            m.read_u16(8).unwrap();
+        });
+        stays(&mut mem, "a RAM read", |m| {
+            m.read_u32(16).unwrap();
+        });
+        stays(&mut mem, "an idle device tick", Memory::tick_devices);
+        stays(&mut mem, "a device read without device watches", |m| {
+            m.read_u32(0x100).unwrap();
+        });
+        stays(&mut mem, "take_dirty_watch", |m| {
+            for &id in &ids {
+                assert!(!m.take_dirty_watch(id));
+            }
+        });
+        // A second write to an already-dirty watch is no new transition:
+        // the observer has not drained it yet and will see it anyway.
+        mem.write_u32(8, 1).unwrap();
+        stays(&mut mem, "a write to a dirty watch", |m| {
+            m.write_u32(8, 2).unwrap()
+        });
+    }
+
+    #[test]
+    fn observers_sharing_a_memory_cannot_swallow_each_others_changes() {
+        let mut mem = Memory::new(64);
+        let a = mem.watch_range(8, 4);
+        let b = mem.watch_range(8, 4);
+        mem.take_dirty_watch(a);
+        let a_epoch = mem.watch_epoch();
+        mem.take_dirty_watch(b);
+        let b_epoch = mem.watch_epoch();
+        mem.write_u32(8, 3).unwrap();
+        // Observer `b` drains first; `a` still sees the epoch moved.
+        assert!(mem.take_dirty_watch(b));
+        assert!(mem.watch_epoch() > b_epoch);
+        assert!(mem.watch_epoch() > a_epoch);
+        assert!(mem.take_dirty_watch(a));
     }
 }

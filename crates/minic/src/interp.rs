@@ -162,6 +162,8 @@ pub struct Interp {
     state: ExecState,
     steps: u64,
     watches: Vec<InterpWatch>,
+    /// See [`Interp::watch_epoch`].
+    watch_epoch: u64,
 }
 
 impl Interp {
@@ -182,6 +184,7 @@ impl Interp {
             state: ExecState::Idle,
             steps: 0,
             watches: Vec::new(),
+            watch_epoch: 0,
         }
     }
 
@@ -202,6 +205,7 @@ impl Interp {
             target: WatchTarget::GlobalSlot(self.global_base[id.0 as usize]),
             dirty: true,
         });
+        self.watch_epoch += 1;
         self.watches.len() - 1
     }
 
@@ -212,7 +216,18 @@ impl Interp {
             target: WatchTarget::Fname,
             dirty: true,
         });
+        self.watch_epoch += 1;
         self.watches.len() - 1
+    }
+
+    /// A counter that advances whenever a watch turns from clean to dirty,
+    /// when a watch is registered, and on wholesale invalidation
+    /// ([`Interp::reset`]). Taking a dirty flag never moves it, so an
+    /// observer that drained all of its watches when the epoch read `e`
+    /// knows none of them has been dirtied while the epoch still reads
+    /// `e`, whatever other observers of this interpreter drain meanwhile.
+    pub fn watch_epoch(&self) -> u64 {
+        self.watch_epoch
     }
 
     /// Takes and clears the dirty flag of one watch.
@@ -251,20 +266,23 @@ impl Interp {
         for w in &mut self.watches {
             w.dirty = true;
         }
+        self.watch_epoch += 1;
     }
 
     fn mark_global_write(&mut self, slot: usize) {
         for w in &mut self.watches {
-            if matches!(w.target, WatchTarget::GlobalSlot(s) if s == slot) {
+            if !w.dirty && matches!(w.target, WatchTarget::GlobalSlot(s) if s == slot) {
                 w.dirty = true;
+                self.watch_epoch += 1;
             }
         }
     }
 
     fn mark_frame_change(&mut self) {
         for w in &mut self.watches {
-            if matches!(w.target, WatchTarget::Fname) {
+            if !w.dirty && matches!(w.target, WatchTarget::Fname) {
                 w.dirty = true;
+                self.watch_epoch += 1;
             }
         }
     }
@@ -857,6 +875,83 @@ mod tests {
         assert!(i.take_dirty_watch(wf), "call pushes a frame");
         i.run(100);
         assert!(i.take_dirty_watch(wf), "returns pop frames");
+    }
+
+    #[test]
+    fn watch_epoch_advances_on_every_clean_to_dirty_transition() {
+        let mut i = make(
+            "int g = 0; int h = 0;
+             int f() { return 3; }
+             int main() { h = 2; g = f(); return 0; }",
+        );
+        let before = i.watch_epoch();
+        let wg = i.watch_global("g");
+        assert!(i.watch_epoch() > before, "a new global watch starts dirty");
+        let before = i.watch_epoch();
+        let wh = i.watch_global("h");
+        let wf = i.watch_fname();
+        assert!(i.watch_epoch() > before, "a new fname watch starts dirty");
+        let ids = [wg, wh, wf];
+        let drain = |i: &mut Interp| {
+            for id in ids {
+                i.take_dirty_watch(id);
+            }
+        };
+        drain(&mut i);
+        let before = i.watch_epoch();
+        i.set_global_by_name("h", 5);
+        assert!(i.watch_epoch() > before, "set_global_by_name");
+        drain(&mut i);
+        let before = i.watch_epoch();
+        i.start_main().unwrap();
+        assert!(i.watch_epoch() > before, "start pushes a frame");
+        drain(&mut i);
+        let before = i.watch_epoch();
+        assert!(matches!(i.step(), ExecState::Running));
+        assert_eq!(i.global_by_name("h"), 2);
+        assert!(i.watch_epoch() > before, "a program assignment");
+        drain(&mut i);
+        let before = i.watch_epoch();
+        while i.current_function_name() != Some("f") {
+            assert!(matches!(i.step(), ExecState::Running));
+        }
+        assert!(i.watch_epoch() > before, "a call pushes a frame");
+        drain(&mut i);
+        let before = i.watch_epoch();
+        while i.current_function_name() == Some("f") {
+            assert!(matches!(i.step(), ExecState::Running));
+        }
+        assert!(i.watch_epoch() > before, "a return pops a frame");
+        assert!(i.take_dirty_watch(wg), "the return value lands in `g`");
+        drain(&mut i);
+        let before = i.watch_epoch();
+        i.reset();
+        assert!(i.watch_epoch() > before, "reset");
+    }
+
+    #[test]
+    fn watch_epoch_stays_put_without_a_new_dirty_watch() {
+        let mut i = make(
+            "int g = 0; int h = 0;
+             int main() { int x = 1; h = 2; x = x + 1; return 0; }",
+        );
+        let wg = i.watch_global("g");
+        assert!(i.take_dirty_watch(wg));
+        let before = i.watch_epoch();
+        i.set_global_by_name("h", 4);
+        assert_eq!(i.global_by_name("g"), 0);
+        assert!(!i.take_dirty_watch(wg));
+        assert_eq!(i.watch_epoch(), before, "unwatched writes, reads, drains");
+        // With no fname watch, the call stack may change freely; locals
+        // and the unwatched `h` are written too.
+        i.start_main().unwrap();
+        i.run(100);
+        assert_eq!(i.watch_epoch(), before, "an unwatched run");
+        // A second write to a watch nobody drained is no new transition.
+        i.set_global_by_name("g", 1);
+        let dirty = i.watch_epoch();
+        i.set_global_by_name("g", 2);
+        assert_eq!(i.watch_epoch(), dirty, "a write to a dirty watch");
     }
 
     #[test]

@@ -10,10 +10,16 @@
 //!
 //! A deliberate semantic change re-pins these constants; the failure
 //! message prints the new value and the canonical rendering behind it.
+//!
+//! Each run's monitoring counters ([`MonitorCounters`]) are pinned too.
+//! They sit outside every fingerprint, yet they are what the performance
+//! ledger's `core.*` rows read, so a checker shortcut that skips work
+//! must still count exactly what the per-sample path counts.
 
 use esw_verify::campaign::{run_campaign, CampaignFingerprint, CampaignSpec, FlowKind};
 use esw_verify::cpu::IsaKind;
 use esw_verify::faults::{run_fault_campaign, EswProgram, FaultCampaignSpec};
+use esw_verify::sctc::MonitorCounters;
 use esw_verify::smc::{run_smc_campaign, SmcSpec};
 use esw_verify::temporal::fnv1a64;
 
@@ -30,6 +36,31 @@ const MICRO_CAMPAIGN: u64 = 0xdc1b_630f_3638_4cab;
 const MICRO_FAULT_MATRIX: u64 = 0x4e17_1744_d4d1_69cf;
 const SMC_FAULTS_TORN_MICRO: u64 = 0xd9ec_502d_acad_113f;
 const SMC_PLANTED_TORN_DERIVED: u64 = 0x0754_3f64_252e_9b2a;
+
+/// Checker samples and monitoring counters of each pinned run, at every
+/// job count. The micro campaign's counters, like its fingerprint, are the
+/// same on both encodings.
+const DERIVED_CAMPAIGN_WORK: (u64, MonitorCounters) = (5653, counters(9702, 79142, 38751, 1454));
+const MICRO_CAMPAIGN_WORK: (u64, MonitorCounters) = (7704, counters(2115, 107856, 53784, 312));
+const MICRO_FAULT_MATRIX_WORK: MonitorCounters = counters(14, 16974, 11310, 10);
+/// SMC reports merge the counters of the accepted samples only, which the
+/// canonical-order fold makes independent of the job count.
+const SMC_FAULTS_TORN_MICRO_WORK: MonitorCounters = counters(32, 45165, 30098, 24);
+const SMC_PLANTED_TORN_DERIVED_WORK: MonitorCounters = counters(240, 63084, 41643, 192);
+
+const fn counters(
+    atoms_evaluated: u64,
+    atoms_total: u64,
+    steps_compressed: u64,
+    dirty_wakeups: u64,
+) -> MonitorCounters {
+    MonitorCounters {
+        atoms_evaluated,
+        atoms_total,
+        steps_compressed,
+        dirty_wakeups,
+    }
+}
 
 /// Every field of a campaign fingerprint, one per line, in a fixed order.
 fn campaign_canonical(fp: &CampaignFingerprint) -> String {
@@ -60,7 +91,14 @@ fn assert_golden(name: &str, jobs: usize, pinned: u64, got: u64, canonical: &str
     );
 }
 
-fn check_campaign(name: &str, spec: &CampaignSpec, pinned: u64) {
+fn assert_work<T: PartialEq + std::fmt::Debug>(name: &str, jobs: usize, pinned: T, got: T) {
+    assert_eq!(
+        got, pinned,
+        "{name} at jobs={jobs}: monitoring work {got:?} != pinned {pinned:?}"
+    );
+}
+
+fn check_campaign(name: &str, spec: &CampaignSpec, pinned: u64, work: (u64, MonitorCounters)) {
     for jobs in JOBS {
         let report = run_campaign(&spec.clone().with_jobs(jobs));
         let canonical = campaign_canonical(&report.fingerprint());
@@ -71,20 +109,31 @@ fn check_campaign(name: &str, spec: &CampaignSpec, pinned: u64) {
             fnv1a64(canonical.as_bytes()),
             &canonical,
         );
+        assert_work(name, jobs, work, (report.samples, report.monitoring));
     }
 }
 
 #[test]
 fn derived_campaign_matches_its_golden_fingerprint() {
     let spec = CampaignSpec::derived(40, 20080310).with_chunk(10);
-    check_campaign("derived campaign", &spec, DERIVED_CAMPAIGN);
+    check_campaign(
+        "derived campaign",
+        &spec,
+        DERIVED_CAMPAIGN,
+        DERIVED_CAMPAIGN_WORK,
+    );
 }
 
 #[test]
 fn micro_campaigns_match_their_golden_fingerprints_on_both_encodings() {
     for isa in [IsaKind::Word32, IsaKind::Comp16] {
         let spec = CampaignSpec::micro(6, 7).with_chunk(2).with_isa(isa);
-        check_campaign(&format!("micro campaign {isa:?}"), &spec, MICRO_CAMPAIGN);
+        check_campaign(
+            &format!("micro campaign {isa:?}"),
+            &spec,
+            MICRO_CAMPAIGN,
+            MICRO_CAMPAIGN_WORK,
+        );
     }
 }
 
@@ -103,6 +152,12 @@ fn micro_fault_matrix_matches_its_golden_fingerprint() {
             matrix.fingerprint(),
             &matrix.canonical(),
         );
+        assert_work(
+            "micro fault matrix",
+            jobs,
+            MICRO_FAULT_MATRIX_WORK,
+            matrix.monitoring,
+        );
     }
 }
 
@@ -113,16 +168,18 @@ fn smc_reports_match_their_golden_fingerprints() {
         .with_max_samples(4);
     faults.recovery_bound = MICRO_RECOVERY_BOUND;
     let planted = SmcSpec::planted_torn(FlowKind::Derived, 300, 5).with_max_samples(12);
-    for (name, spec, pinned) in [
+    for (name, spec, pinned, work) in [
         (
             "smc faults (torn write, micro)",
             faults,
             SMC_FAULTS_TORN_MICRO,
+            SMC_FAULTS_TORN_MICRO_WORK,
         ),
         (
             "smc planted torn (derived)",
             planted,
             SMC_PLANTED_TORN_DERIVED,
+            SMC_PLANTED_TORN_DERIVED_WORK,
         ),
     ] {
         for jobs in JOBS {
@@ -134,6 +191,7 @@ fn smc_reports_match_their_golden_fingerprints() {
                 report.fingerprint(),
                 &report.canonical(),
             );
+            assert_work(name, jobs, work, report.matrix.monitoring);
         }
     }
 }

@@ -10,13 +10,19 @@
 //! was reached at, and the verdict must match an independent brute-force
 //! reading of the bounded-FLTL trace semantics.
 //!
+//! A second property drives a checker that takes the O(1) clean-sample
+//! path beside a witness-capturing twin that keeps the per-sample path,
+//! through mid-run registrations, resets, queries and model
+//! invalidations; results and `MonitorCounters` must match the twin's and
+//! every decision must match brute-force `eval`.
+//!
 //! The testkit harness shrinks any diverging (formula, trace) pair.
 
 use std::rc::Rc;
 
 use minic::{lower, parse as parse_c, share_interp, Interp, SharedInterp};
-use sctc_core::{esw, EngineKind, Proposition, Sctc};
-use sctc_temporal::{Formula, Verdict};
+use sctc_core::{esw, ClosureProp, EngineKind, Proposition, Sctc, WitnessConfig};
+use sctc_temporal::{eval_at, Formula, SynthesisCache, Verdict};
 use testkit::{Checker, Source};
 
 const NPROPS: usize = 3;
@@ -453,4 +459,382 @@ fn wide_formula_exercises_the_packed_compiled_fallback() {
             "{engine:?} decision sample"
         );
     }
+}
+
+/// RAM word behind `p2` in the clean-path test; `NOISE_ADDR` is written
+/// but observed by no proposition.
+const P2_ADDR: u32 = 0x40;
+const NOISE_ADDR: u32 = 0x80;
+/// Longest stutter run the clean-path test drives, whatever the automaton.
+const MAX_RUN: u64 = 3_000;
+/// Samples appended after a case's script: more than any generated
+/// formula's horizon, so every property decides.
+const PAD: usize = 80;
+
+/// One scripted step of the clean-path test.
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    /// Writes the observed variables selected by `mask` (bit k feeds `pk`)
+    /// to the matching bits of `value`, then samples once.
+    Write {
+        mask: u64,
+        value: u64,
+    },
+    /// Writes variables no proposition observes, then samples once.
+    Noise,
+    /// Samples an unchanged model `n` times.
+    Stutter(u64),
+    /// Samples an unchanged model `extra` times more than the largest
+    /// registered automaton has states, so run-table and binary-lifting
+    /// flushes run.
+    LongStutter(u64),
+    /// Power-loss restore of the all-zero RAM snapshot, then one sample.
+    RestoreRam,
+    /// `Interp::reset` (globals back to zero), then one sample.
+    InterpReset,
+    /// Registers the next not-yet-registered property of the case.
+    AddProperty,
+    Reset,
+    ResetSampleCount,
+    /// `all_decided`, `any_violated` and `results` mid-run.
+    Query,
+}
+
+/// What else the checker carries besides its watched, driven properties.
+#[derive(Clone, Debug)]
+enum Extra {
+    None,
+    /// A driven property whose propositions are closures: always-dirty
+    /// atoms, which keep the clean path off while it is undecided.
+    Closure(Formula, EngineKind),
+    /// A property on the naive engine, which samples every proposition
+    /// every time and so also keeps the clean path off.
+    Naive(Formula),
+}
+
+#[derive(Debug)]
+struct CleanCase {
+    /// Driven properties; the first is registered up front, the others
+    /// by `Op::AddProperty`.
+    properties: Vec<(Formula, EngineKind)>,
+    extra: Extra,
+    ops: Vec<Op>,
+}
+
+const DRIVEN: [EngineKind; 3] = [EngineKind::Table, EngineKind::Compiled, EngineKind::Lazy];
+
+fn gen_clean_case(src: &mut Source<'_>) -> CleanCase {
+    let properties = (0..src.usize_in(1, 3))
+        .map(|_| (gen_formula(src, MAX_DEPTH), src.pick(&DRIVEN)))
+        .collect();
+    let extra = match src.weighted_idx(&[2, 1, 1]) {
+        0 => Extra::None,
+        1 => Extra::Closure(gen_formula(src, MAX_DEPTH), src.pick(&DRIVEN)),
+        _ => Extra::Naive(gen_formula(src, MAX_DEPTH)),
+    };
+    let ops = (0..src.usize_in(4, 30))
+        .map(
+            |_| match src.weighted_idx(&[6, 2, 6, 2, 1, 1, 2, 1, 1, 2]) {
+                0 => Op::Write {
+                    mask: src.u64_in(1, (1 << NPROPS) - 1),
+                    value: src.u64_in(0, (1 << NPROPS) - 1),
+                },
+                1 => Op::Noise,
+                2 => Op::Stutter(src.u64_in(1, 40)),
+                3 => Op::LongStutter(src.u64_in(0, 20)),
+                4 => Op::RestoreRam,
+                5 => Op::InterpReset,
+                6 => Op::AddProperty,
+                7 => Op::Reset,
+                8 => Op::ResetSampleCount,
+                _ => Op::Query,
+            },
+        )
+        .collect();
+    CleanCase {
+        properties,
+        extra,
+        ops,
+    }
+}
+
+/// The models a clean-path case observes: an interpreter (`p0`, `p1` are
+/// globals `g0`, `g1`) and a SoC memory (`p2` is a RAM word).
+struct CleanModels {
+    interp: SharedInterp,
+    soc: esw_verify::cpu::SharedSoc,
+    pristine_ram: Vec<u8>,
+}
+
+impl CleanModels {
+    fn new() -> Self {
+        use esw_verify::cpu::{share, Memory, Soc};
+        let src = "int g0 = 0; int g1 = 0; int h = 0; int main() { return 0; }";
+        let ir = Rc::new(lower(&parse_c(src).expect("model parses")).expect("model lowers"));
+        let soc = share(Soc::new(Memory::new(256)));
+        let pristine_ram = soc.borrow().mem.snapshot_ram();
+        CleanModels {
+            interp: share_interp(Interp::with_virtual_memory(ir)),
+            soc,
+            pristine_ram,
+        }
+    }
+
+    /// Watched bindings: interpreter-global and memory-word propositions.
+    fn watched(&self) -> Vec<Box<dyn Proposition>> {
+        vec![
+            esw::global_nonzero("p0", self.interp.clone(), "g0"),
+            esw::global_nonzero("p1", self.interp.clone(), "g1"),
+            sctc_core::mem::word_nonzero("p2", self.soc.clone(), P2_ADDR),
+        ]
+    }
+
+    /// The same observations as keyless closures (always-dirty atoms).
+    fn closures(&self) -> Vec<Box<dyn Proposition>> {
+        let (i0, i1, soc) = (self.interp.clone(), self.interp.clone(), self.soc.clone());
+        vec![
+            ClosureProp::boxed("p0", move || i0.borrow().global_by_name("g0") != 0),
+            ClosureProp::boxed("p1", move || i1.borrow().global_by_name("g1") != 0),
+            ClosureProp::boxed("p2", move || {
+                soc.borrow().mem.peek_u32(P2_ADDR).expect("RAM word") != 0
+            }),
+        ]
+    }
+
+    /// The valuation the models hold right now (bit k is `pk`).
+    fn valuation(&self) -> u64 {
+        let interp = self.interp.borrow();
+        let ram = self.soc.borrow().mem.peek_u32(P2_ADDR).expect("RAM word");
+        u64::from(interp.global_by_name("g0") != 0)
+            | u64::from(interp.global_by_name("g1") != 0) << 1
+            | u64::from(ram != 0) << 2
+    }
+
+    fn write(&self, mask: u64, value: u64) {
+        let bit = |k: u64| value >> k & 1;
+        let mut interp = self.interp.borrow_mut();
+        for k in 0..2 {
+            if mask >> k & 1 == 1 {
+                interp.set_global_by_name(&format!("g{k}"), bit(k) as i32);
+            }
+        }
+        if mask & 0b100 != 0 {
+            // Any nonzero word makes `p2` true.
+            let word = bit(2) as u32 * 0x5a;
+            self.soc
+                .borrow_mut()
+                .mem
+                .write_u32(P2_ADDR, word)
+                .expect("RAM");
+        }
+    }
+
+    fn noise(&self) {
+        let mut interp = self.interp.borrow_mut();
+        let h = interp.global_by_name("h");
+        interp.set_global_by_name("h", h.wrapping_add(1));
+        let mut soc = self.soc.borrow_mut();
+        let w = soc.mem.peek_u32(NOISE_ADDR).expect("RAM word");
+        soc.mem
+            .write_u32(NOISE_ADDR, w.wrapping_add(1))
+            .expect("RAM");
+    }
+}
+
+/// Brute-force reading of one property's decision over the samples of
+/// its current case. A decided verdict must be what `eval` gives on the
+/// case's first `decided_at` samples followed by *any* continuation (two
+/// are tried), and, once the whole padded case is known (`complete`),
+/// what `eval` gives on the case itself.
+fn check_against_eval(
+    f: &Formula,
+    case: &[u64],
+    verdict: Verdict,
+    decided_at: Option<u64>,
+    complete: bool,
+) {
+    let bit = |name: &str| name[1..].parse::<u32>().expect("p<i> names");
+    if complete {
+        assert!(verdict.is_decided(), "{f} undecided after the pad");
+        assert_eq!(
+            eval_at(f, case, 0, &bit),
+            verdict == Verdict::True,
+            "verdict disagrees with eval for {f}"
+        );
+    }
+    if !verdict.is_decided() {
+        assert_eq!(decided_at, None, "{f}: pending with a decision index");
+        return;
+    }
+    // A formula decided before its first sample (`true`, say) has no index.
+    let d = decided_at.unwrap_or(0) as usize;
+    assert!(
+        d <= case.len(),
+        "{f}: decided at {d} of {} samples",
+        case.len()
+    );
+    let last = d.checked_sub(1).map_or(0, |i| case[i]);
+    for filler in [last, !last & ((1 << NPROPS) - 1)] {
+        let mut trace = case[..d].to_vec();
+        trace.resize(d + PAD, filler);
+        assert_eq!(
+            eval_at(f, &trace, 0, &bit),
+            verdict == Verdict::True,
+            "{f} decided at {d}, but eval disagrees on another continuation"
+        );
+    }
+}
+
+/// A checker that may take the clean path beside a twin with witness
+/// capture on, which keeps the per-sample path, both observing the same
+/// models.
+struct CleanPair {
+    fast: Sctc,
+    twin: Sctc,
+    /// Per registered property: its formula and where its current case
+    /// starts in `log`.
+    props: Vec<(Formula, usize)>,
+    /// The valuation of every sample taken.
+    log: Vec<u64>,
+    /// The largest state count among the registered automata.
+    max_states: u64,
+}
+
+impl CleanPair {
+    fn new() -> Self {
+        let mut twin = Sctc::new();
+        twin.enable_witnesses(WitnessConfig::default());
+        CleanPair {
+            fast: Sctc::new(),
+            twin,
+            props: Vec::new(),
+            log: Vec::new(),
+            max_states: 0,
+        }
+    }
+
+    fn register(&mut self, models: &CleanModels, f: &Formula, engine: EngineKind, closures: bool) {
+        for sctc in [&mut self.fast, &mut self.twin] {
+            let bindings = if closures {
+                models.closures()
+            } else {
+                models.watched()
+            };
+            sctc.add_property("prop", f, bindings, engine)
+                .expect("generated formula binds");
+        }
+        let states = SynthesisCache::global()
+            .synthesize(f)
+            .expect("generated formula synthesizes")
+            .stats()
+            .states;
+        self.max_states = self.max_states.max(states as u64);
+        self.props.push((f.clone(), self.log.len()));
+    }
+
+    fn sample(&mut self, models: &CleanModels, n: u64) {
+        let v = models.valuation();
+        for _ in 0..n {
+            self.fast.sample();
+            self.twin.sample();
+            self.log.push(v);
+        }
+    }
+
+    /// Queries both checkers and holds every decision against `eval`.
+    fn compare(&mut self, complete: bool) {
+        assert_eq!(self.fast.all_decided(), self.twin.all_decided());
+        assert_eq!(self.fast.any_violated(), self.twin.any_violated());
+        let (fast, twin) = (self.fast.results(), self.twin.results());
+        for ((a, b), (f, start)) in fast.iter().zip(&twin).zip(&self.props) {
+            assert_eq!((a.verdict, a.decided_at), (b.verdict, b.decided_at), "{f}");
+            check_against_eval(f, &self.log[*start..], a.verdict, a.decided_at, complete);
+        }
+    }
+
+    fn assert_same_work(&self, after: &str) {
+        assert_eq!(
+            self.fast.samples(),
+            self.twin.samples(),
+            "samples after {after}"
+        );
+        assert_eq!(
+            self.fast.counters(),
+            self.twin.counters(),
+            "counters after {after}"
+        );
+    }
+}
+
+#[test]
+fn clean_sample_path_matches_the_per_sample_path_and_brute_force() {
+    // Both checkers observe the *same* models, so each must see changes
+    // the other has already drained. Every step compares their counters;
+    // every query compares their results and holds each decision against
+    // `eval`.
+    Checker::new("clean_sample_path_matches_the_per_sample_path_and_brute_force")
+        .cases(80)
+        .run(gen_clean_case, |case| {
+            let models = CleanModels::new();
+            let mut pair = CleanPair::new();
+            match &case.extra {
+                Extra::None => {}
+                Extra::Closure(f, engine) => pair.register(&models, f, *engine, true),
+                Extra::Naive(f) => pair.register(&models, f, EngineKind::Naive, false),
+            }
+            let mut pending = case.properties.iter();
+            if let Some((f, engine)) = pending.next() {
+                pair.register(&models, f, *engine, false);
+            }
+            for op in &case.ops {
+                match *op {
+                    Op::Write { mask, value } => {
+                        models.write(mask, value);
+                        pair.sample(&models, 1);
+                    }
+                    Op::Noise => {
+                        models.noise();
+                        pair.sample(&models, 1);
+                    }
+                    Op::Stutter(n) => pair.sample(&models, n),
+                    Op::LongStutter(extra) => {
+                        pair.sample(&models, (pair.max_states + extra).min(MAX_RUN));
+                    }
+                    Op::RestoreRam => {
+                        models
+                            .soc
+                            .borrow_mut()
+                            .mem
+                            .restore_ram(&models.pristine_ram);
+                        pair.sample(&models, 1);
+                    }
+                    Op::InterpReset => {
+                        models.interp.borrow_mut().reset();
+                        pair.sample(&models, 1);
+                    }
+                    Op::AddProperty => {
+                        if let Some((f, engine)) = pending.next() {
+                            pair.register(&models, f, *engine, false);
+                        }
+                    }
+                    Op::Reset => {
+                        pair.fast.reset();
+                        pair.twin.reset();
+                        let now = pair.log.len();
+                        for (_, start) in &mut pair.props {
+                            *start = now;
+                        }
+                    }
+                    Op::ResetSampleCount => {
+                        pair.fast.reset_sample_count();
+                        pair.twin.reset_sample_count();
+                    }
+                    Op::Query => pair.compare(false),
+                }
+                pair.assert_same_work(&format!("{op:?}"));
+            }
+            pair.sample(&models, PAD as u64);
+            pair.assert_same_work("the pad");
+            pair.compare(true);
+        });
 }
