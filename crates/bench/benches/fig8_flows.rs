@@ -15,7 +15,7 @@ fn config(cases: u64, bound: Option<u64>) -> ExperimentConfig {
         cases,
         bound,
         fault_percent: 10,
-        engine: EngineKind::Table,
+        engine: EngineKind::Compiled,
         isa: IsaKind::Word32,
         max_ticks: u64::MAX / 2,
         profile: false,

@@ -8,7 +8,7 @@
 //!       [--budget SECS] [--json PATH|--json=false] [--faults-json PATH]
 //!       [--smc-json PATH] [--server-json PATH] [--monitor-json PATH]
 //!       [--obs-json PATH] [--telemetry-json PATH] [--trace-json PATH]
-//!       [--vcd PATH] [--profile] [--guard-ratio R]
+//!       [--vcd PATH] [--profile]
 //! ```
 //!
 //! With no table flags, `--all` is assumed. Numbers are scaled-down local
@@ -24,13 +24,11 @@
 //! failure rate), enforces that serial and parallel report fingerprints
 //! are identical *and* that the sequential test undercuts the
 //! fixed-sample Chernoff budget, and writes `BENCH_smc.json`.
-//! `--monitor-bench` runs every
-//! campaign family under all four monitoring engines (naive, table,
-//! lazy, compiled) with alternating-order min-of-4 timing, enforces that
-//! their result fingerprints are identical, optionally enforces a
-//! compiled-vs-table wall-clock ratio on the fig8 derived rows
-//! (`--guard-ratio 1.10` fails the run if compiled is >10% slower), and
-//! writes `BENCH_monitoring.json`. `--witness-demo` runs the torn-write
+//! `--monitor-bench` runs every campaign family under both monitoring
+//! engines (the change-driven compiled kernel and the naive reference)
+//! with alternating-order min-of-4 timing, enforces that their result
+//! fingerprints are identical, and writes `BENCH_monitoring.json`.
+//! `--witness-demo` runs the torn-write
 //! power-loss scenario with the diagnosis layer on under both flows,
 //! prints the counterexample witnesses, validates the VCD round-trip and
 //! the witness replay, measures the span profiler's overhead, and writes
@@ -81,10 +79,6 @@ struct Args {
     telemetry_json_path: String,
     trace_json_path: String,
     vcd_path: Option<String>,
-    /// `--guard-ratio R`: fail `--monitor-bench` if the compiled engine's
-    /// wall exceeds `R ×` the table engine's wall summed over the fig8
-    /// derived rows.
-    guard_ratio: Option<f64>,
     scale: Scale,
 }
 
@@ -112,7 +106,6 @@ fn parse_args() -> Args {
         telemetry_json_path: "BENCH_telemetry.json".to_owned(),
         trace_json_path: "trace.json".to_owned(),
         vcd_path: None,
-        guard_ratio: None,
         scale: Scale::default(),
     };
     let mut it = std::env::args().skip(1);
@@ -153,13 +146,6 @@ fn parse_args() -> Args {
             "--derived-cases" => args.scale.derived_cases = next_u64("--derived-cases"),
             "--seed" => args.scale.seed = next_u64("--seed"),
             "--budget" => args.scale.checker_budget = Duration::from_secs(next_u64("--budget")),
-            "--guard-ratio" => {
-                let v = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--guard-ratio expects a number like 1.10");
-                args.guard_ratio = Some(v);
-            }
             "--json=false" => args.write_json = false,
             "--json=true" => args.write_json = true,
             "--json" => {
@@ -567,10 +553,10 @@ fn main() {
     }
 
     if args.monitor {
-        println!("== Monitoring engines: naive vs table vs lazy vs compiled ==");
+        println!("== Monitoring engines: compiled vs naive ==");
         let rows = monitor_bench(args.scale);
         println!(
-            "{:<18} {:<9} {:<8} {:>8} {:>12} {:>6} {:>12} {:>9} {:>9} {:>9} {:>9} {:>6} {:>6}",
+            "{:<18} {:<9} {:<8} {:>8} {:>12} {:>6} {:>12} {:>9} {:>9} {:>6} {:>6}",
             "campaign",
             "config",
             "flow",
@@ -578,35 +564,30 @@ fn main() {
             "atoms eval",
             "eval%",
             "compressed",
-            "naive(s)",
-            "table(s)",
-            "lazy(s)",
             "compl(s)",
-            "c/t",
+            "naive(s)",
+            "n/c",
             "equal"
         );
         let mut diverged = false;
-        let mut guard_broken = false;
         for row in &rows {
-            let pct = if row.driven.atoms_total == 0 {
+            let pct = if row.compiled.atoms_total == 0 {
                 0.0
             } else {
-                100.0 * row.driven.atoms_evaluated as f64 / row.driven.atoms_total as f64
+                100.0 * row.compiled.atoms_evaluated as f64 / row.compiled.atoms_total as f64
             };
-            let ratio = row.compiled_wall.as_secs_f64() / row.driven_wall.as_secs_f64().max(1e-9);
+            let ratio = row.naive_wall.as_secs_f64() / row.compiled_wall.as_secs_f64().max(1e-9);
             println!(
-                "{:<18} {:<9} {:<8} {:>8} {:>12} {:>5.1}% {:>12} {:>9} {:>9} {:>9} {:>9} {:>6.2} {:>6}",
+                "{:<18} {:<9} {:<8} {:>8} {:>12} {:>5.1}% {:>12} {:>9} {:>9} {:>6.2} {:>6}",
                 row.campaign,
                 row.config,
                 row.flow,
                 row.cases,
-                row.driven.atoms_evaluated,
+                row.compiled.atoms_evaluated,
                 pct,
-                row.driven.steps_compressed,
-                secs(row.naive_wall),
-                secs(row.driven_wall),
-                secs(row.lazy_wall),
+                row.compiled.steps_compressed,
                 secs(row.compiled_wall),
+                secs(row.naive_wall),
                 ratio,
                 row.fingerprints_equal
             );
@@ -618,47 +599,17 @@ fn main() {
                 diverged = true;
             }
         }
-        // The perf guard bites on the fig8 derived rows only: they are
-        // long enough to time reliably, and the compiled tier's whole
-        // reason to exist is beating the table engine there. Summing the
-        // rows' min-of-4 walls before taking the ratio halves the
-        // relative noise of a single ±ms-scale row.
-        if let Some(max_ratio) = args.guard_ratio {
-            let (compiled, table) = rows
-                .iter()
-                .filter(|r| r.campaign == "fig8" && r.flow == "derived")
-                .fold((0.0, 0.0), |(c, t), r| {
-                    (
-                        c + r.compiled_wall.as_secs_f64(),
-                        t + r.driven_wall.as_secs_f64(),
-                    )
-                });
-            let ratio = compiled / table.max(1e-9);
-            if ratio > max_ratio {
-                eprintln!(
-                    "FAIL: fig8 derived — compiled/table wall ratio {ratio:.3} \
-                     (summed over rows) exceeds the --guard-ratio {max_ratio:.3}"
-                );
-                guard_broken = true;
-            } else {
-                println!(
-                    "perf guard: compiled/table = {ratio:.3} on fig8 derived \
-                     (limit {max_ratio:.3})"
-                );
-            }
-        }
-        println!("\n-- instruction decode: table vs legacy on the clocked SoC --");
+        println!("\n-- instruction decode on the clocked SoC, per encoding --");
         let (decode_rows, decode_equal) = decode_bench();
         println!(
-            "{:<14} {:<7} {:<7} {:>10} {:>12} {:>9} {:>14}",
-            "variant", "isa", "legacy", "text(B)", "cycles", "wall(s)", "cycles/s"
+            "{:<14} {:<7} {:>10} {:>12} {:>9} {:>14}",
+            "variant", "isa", "text(B)", "cycles", "wall(s)", "cycles/s"
         );
         for row in &decode_rows {
             println!(
-                "{:<14} {:<7} {:<7} {:>10} {:>12} {:>9} {:>14.0}",
+                "{:<14} {:<7} {:>10} {:>12} {:>9} {:>14.0}",
                 row.variant,
                 row.isa,
-                row.legacy_decode,
                 row.text_bytes,
                 row.cycles,
                 secs(row.wall),
@@ -666,18 +617,17 @@ fn main() {
             );
         }
         if !decode_equal {
-            eprintln!("FAIL: decode bench — encoding/decoder variants serve different values");
+            eprintln!("FAIL: decode bench — the two encodings serve different values");
             diverged = true;
         }
         // Engine equivalence is the pipeline's hard contract: refuse to
-        // publish benchmark numbers from diverging engines. The perf
-        // guard is a softer contract enforced only when CI asks for it.
-        if diverged || guard_broken {
+        // publish benchmark numbers from diverging engines.
+        if diverged {
             std::process::exit(1);
         }
         println!(
-            "(all result fingerprints identical across the four engines; walls\n\
-             are min-of-4 with alternating engine order; c/t is compiled/table)"
+            "(result fingerprints identical across both engines; walls are\n\
+             min-of-4 with alternating engine order; n/c is naive/compiled)"
         );
         if args.write_json {
             let doc = render_monitoring_bench_json(&rows, &decode_rows, decode_equal);

@@ -264,7 +264,7 @@ pub fn run_one_property(
         cases,
         bound,
         fault_percent: 10,
-        engine: EngineKind::Table,
+        engine: EngineKind::Compiled,
         isa: IsaKind::Word32,
         max_ticks: u64::MAX / 2,
         profile: false,
@@ -846,10 +846,9 @@ pub fn render_smc_bench_json(rows: &[SmcBenchRow]) -> String {
 }
 
 /// One row of `BENCH_monitoring.json`: one campaign configuration run
-/// under all four monitoring engines (change-driven `Table`, `Naive`
-/// re-evaluation, memoized `Lazy` progression, and the `Compiled` kernel
-/// tier), with per-engine work counters, per-engine min-of-4 walls, and
-/// the four-way result-fingerprint comparison.
+/// under both monitoring engines (the change-driven `Compiled` kernel and
+/// the `Naive` reference), with per-engine work counters, per-engine
+/// min-of-4 walls, and the result-fingerprint comparison.
 #[derive(Clone, Debug)]
 pub struct MonitorBenchRow {
     /// Campaign family (`"fig8"`, `"tb-sweep"`, `"bounded-response"`,
@@ -861,52 +860,38 @@ pub struct MonitorBenchRow {
     pub flow: String,
     /// Planned case budget.
     pub cases: u64,
-    /// Work counters of the change-driven (default) `Table` engine.
-    pub driven: MonitorCounters,
+    /// Work counters of the change-driven (default) compiled engine.
+    pub compiled: MonitorCounters,
     /// Work counters of the naive engine (`atoms_evaluated ==
     /// atoms_total` by construction).
     pub naive: MonitorCounters,
-    /// Work counters of the memoized lazy-progression engine.
-    pub lazy: MonitorCounters,
-    /// Work counters of the compiled-kernel engine.
-    pub compiled: MonitorCounters,
-    /// Fastest of four alternating-order repetitions of the `Table` run.
-    pub driven_wall: Duration,
-    /// Fastest of four alternating-order repetitions of the naive run.
-    pub naive_wall: Duration,
-    /// Fastest of four alternating-order repetitions of the lazy run.
-    pub lazy_wall: Duration,
     /// Fastest of four alternating-order repetitions of the compiled run.
     pub compiled_wall: Duration,
+    /// Fastest of four alternating-order repetitions of the naive run.
+    pub naive_wall: Duration,
     /// Synthesis-cache activity across this row's legs: compiled-kernel
-    /// hits/misses and the lowering / lazy-stutter-table build walls.
+    /// hits/misses and the lowering wall.
     pub cache: CacheStats,
-    /// Whether all four engines produced the identical result
-    /// fingerprint. `repro --monitor-bench` exits non-zero when any row
-    /// diverges.
+    /// Whether both engines produced the identical result fingerprint.
+    /// `repro --monitor-bench` exits non-zero when any row diverges.
     pub fingerprints_equal: bool,
 }
 
 /// The fixed engine order of the bench; `walls[i]`/`reports[i]` in
 /// [`timed_engines`] line up with this.
-const BENCH_ENGINES: [EngineKind; 4] = [
-    EngineKind::Table,
-    EngineKind::Naive,
-    EngineKind::Lazy,
-    EngineKind::Compiled,
-];
+const BENCH_ENGINES: [EngineKind; 2] = [EngineKind::Compiled, EngineKind::Naive];
 
-/// Times `run` once per engine per repetition, rotating which engine goes
-/// first on each of the four repetitions, and keeps the fastest wall per
-/// engine: single-shot timings on a shared machine are ±20% noisy and
-/// drift over time, and the minimum over alternated runs is the stable
-/// estimator of intrinsic cost (same methodology as [`obs_bench`]).
-fn timed_engines<R>(mut run: impl FnMut(EngineKind) -> R) -> ([Duration; 4], [R; 4]) {
-    let mut walls = [Duration::MAX; 4];
-    let mut reports: [Option<R>; 4] = [None, None, None, None];
+/// Times `run` once per engine per repetition, alternating which engine
+/// goes first, and keeps the fastest wall per engine: single-shot timings
+/// on a shared machine are ±20% noisy and drift over time, and the
+/// minimum over alternated runs is the stable estimator of intrinsic cost
+/// (same methodology as [`obs_bench`]).
+fn timed_engines<R>(mut run: impl FnMut(EngineKind) -> R) -> ([Duration; 2], [R; 2]) {
+    let mut walls = [Duration::MAX; 2];
+    let mut reports: [Option<R>; 2] = [None, None];
     for rep in 0..4 {
-        for slot in 0..4 {
-            let i = (slot + rep) % 4;
+        for slot in 0..2 {
+            let i = (slot + rep) % 2;
             let t0 = std::time::Instant::now();
             let report = run(BENCH_ENGINES[i]);
             walls[i] = walls[i].min(t0.elapsed());
@@ -923,10 +908,10 @@ fn flow_label(flow: FlowKind) -> &'static str {
     }
 }
 
-/// Runs every campaign family under all four monitoring engines and
-/// compares result fingerprints: the fig8 configurations, one tb-sweep
-/// row, the 20k-cycle bounded-response property on the microprocessor
-/// flow (the stutter-compression stress), and both fault campaigns.
+/// Runs every campaign family under both monitoring engines and compares
+/// result fingerprints: the fig8 configurations, one tb-sweep row, the
+/// 20k-cycle bounded-response property on the microprocessor flow (the
+/// stutter-compression stress), and both fault campaigns.
 pub fn monitor_bench(scale: Scale) -> Vec<MonitorBenchRow> {
     let jobs = scale.jobs;
     let mut rows = Vec::new();
@@ -965,9 +950,7 @@ pub fn monitor_bench(scale: Scale) -> Vec<MonitorBenchRow> {
     for (campaign, config, spec) in eee_configs {
         // Warm the shared synthesis cache with a single-case run so the
         // timed legs compare monitoring work, not who pays the one-off
-        // AR-synthesis cache miss. (The compiled-kernel lowering miss is
-        // absorbed by the min-of-4 repetitions: only the first compiled
-        // leg pays it, and the minimum discards that leg.)
+        // AR-synthesis and kernel-lowering cache misses.
         let mut warmup = spec.clone().with_jobs(1);
         warmup.cases = 1;
         run_campaign(&warmup);
@@ -975,23 +958,18 @@ pub fn monitor_bench(scale: Scale) -> Vec<MonitorBenchRow> {
         let (walls, reports) =
             timed_engines(|engine| run_campaign(&spec.clone().with_engine(engine).with_jobs(jobs)));
         let cache = SynthesisCache::global().stats().since(&before);
-        let fingerprints = reports.each_ref().map(|r| r.fingerprint());
-        let [table, naive, lazy, compiled] = reports;
+        let [compiled, naive] = reports;
         rows.push(MonitorBenchRow {
             campaign: campaign.to_owned(),
             config: config.to_owned(),
             flow: flow_label(spec.flow).to_owned(),
-            cases: table.total_cases,
-            driven: table.monitoring,
-            naive: naive.monitoring,
-            lazy: lazy.monitoring,
+            cases: compiled.total_cases,
             compiled: compiled.monitoring,
-            driven_wall: walls[0],
+            naive: naive.monitoring,
+            compiled_wall: walls[0],
             naive_wall: walls[1],
-            lazy_wall: walls[2],
-            compiled_wall: walls[3],
             cache,
-            fingerprints_equal: fingerprints.iter().all(|f| *f == fingerprints[0]),
+            fingerprints_equal: compiled.fingerprint() == naive.fingerprint(),
         });
     }
     for (flow, cases) in [
@@ -1011,23 +989,18 @@ pub fn monitor_bench(scale: Scale) -> Vec<MonitorBenchRow> {
             run_fault_campaign(&spec.clone().with_engine(engine).with_jobs(jobs))
         });
         let cache = SynthesisCache::global().stats().since(&before);
-        let fingerprints = reports.each_ref().map(|r| r.matrix.fingerprint());
-        let [table, naive, lazy, compiled] = reports;
+        let [compiled, naive] = reports;
         rows.push(MonitorBenchRow {
             campaign: "faults".to_owned(),
             config: "inject".to_owned(),
             flow: flow.to_owned(),
             cases,
-            driven: table.matrix.monitoring,
-            naive: naive.matrix.monitoring,
-            lazy: lazy.matrix.monitoring,
             compiled: compiled.matrix.monitoring,
-            driven_wall: walls[0],
+            naive: naive.matrix.monitoring,
+            compiled_wall: walls[0],
             naive_wall: walls[1],
-            lazy_wall: walls[2],
-            compiled_wall: walls[3],
             cache,
-            fingerprints_equal: fingerprints.iter().all(|f| *f == fingerprints[0]),
+            fingerprints_equal: compiled.matrix.fingerprint() == naive.matrix.fingerprint(),
         });
     }
     rows
@@ -1035,20 +1008,17 @@ pub fn monitor_bench(scale: Scale) -> Vec<MonitorBenchRow> {
 
 /// One row of the instruction-decode benchmark: the compiled EEE program
 /// driven through a fixed request script on the clocked SoC, once per
-/// encoding × decoder variant.
+/// encoding.
 #[derive(Clone, Debug)]
 pub struct DecodeBenchRow {
-    /// Variant label (`"word32-table"`, `"word32-legacy"`, `"comp16-table"`).
+    /// Variant label (`"word32-table"`, `"comp16-table"`).
     pub variant: String,
     /// Instruction-encoding name (`"word32"` / `"comp16"`).
     pub isa: String,
-    /// Whether the hand-written legacy decoder ran instead of the
-    /// description-table decoder (32-bit encoding only).
-    pub legacy_decode: bool,
     /// Flash footprint of the encoded program in bytes.
     pub text_bytes: u64,
-    /// Processor cycles executed by one scripted run (identical for the
-    /// two word32 variants; smaller text, same cycle count, for comp16).
+    /// Processor cycles executed by one scripted run (smaller text, same
+    /// cycle count, for comp16).
     pub cycles: u64,
     /// Fastest of four alternating-order repetitions.
     pub wall: Duration,
@@ -1057,12 +1027,12 @@ pub struct DecodeBenchRow {
 }
 
 /// Runs the compiled EEE program through one fixed request script on the
-/// clocked SoC under one encoding/decoder variant, returning the cycle
-/// count, the flash footprint, and the per-request observations.
+/// clocked SoC under one encoding, returning the cycle count, the flash
+/// footprint, and the per-request observations.
 /// (cycles, flash text bytes, per-request `(ret, read_value)` observations).
 type DecodeRun = (u64, u64, Vec<(i32, i32)>);
 
-fn run_decode_variant(isa: IsaKind, legacy: bool, script: &[(eee::Op, i32, i32)]) -> DecodeRun {
+fn run_decode_variant(isa: IsaKind, script: &[(eee::Op, i32, i32)]) -> DecodeRun {
     use eee::driver::MailboxAddrs;
     use eee::{
         share_flash, DataFlash, FlashMmio, FlashReadWindow, FLASH_READ_BASE, FLASH_READ_LEN,
@@ -1097,7 +1067,6 @@ fn run_decode_variant(isa: IsaKind, legacy: bool, script: &[(eee::Op, i32, i32)]
     );
     let mut soc = Soc::new(mem);
     soc.cpu = Cpu::with_isa(0, isa);
-    soc.cpu.set_legacy_decode(legacy);
     let mut cycles = 0u64;
     let obs = script
         .iter()
@@ -1125,11 +1094,10 @@ fn run_decode_variant(isa: IsaKind, legacy: bool, script: &[(eee::Op, i32, i32)]
 }
 
 /// Times instruction decode on the clocked microprocessor flow: the
-/// table-driven decoder against the retired hand-written one on the
-/// 32-bit encoding, plus the compressed encoding's table decoder. Walls
+/// table-driven decoder on the 32-bit and the compressed encoding. Walls
 /// are min-of-4 with alternating variant order (same methodology as the
 /// engine bench). The second return is the cross-variant observation
-/// agreement — the three runs must serve identical return codes and read
+/// agreement — both runs must serve identical return codes and read
 /// values; `repro --monitor-bench` exits non-zero when they diverge.
 pub fn decode_bench() -> (Vec<DecodeBenchRow>, bool) {
     use eee::{Op, NUM_IDS};
@@ -1144,47 +1112,45 @@ pub fn decode_bench() -> (Vec<DecodeBenchRow>, bool) {
             script.push((Op::Read, id, 0));
         }
     }
-    let variants: [(&str, IsaKind, bool); 3] = [
-        ("word32-table", IsaKind::Word32, false),
-        ("word32-legacy", IsaKind::Word32, true),
-        ("comp16-table", IsaKind::Comp16, false),
+    let variants: [(&str, IsaKind); 2] = [
+        ("word32-table", IsaKind::Word32),
+        ("comp16-table", IsaKind::Comp16),
     ];
-    let mut walls = [Duration::MAX; 3];
-    let mut runs: [Option<DecodeRun>; 3] = [None, None, None];
+    let mut walls = [Duration::MAX; 2];
+    let mut runs: [Option<DecodeRun>; 2] = [None, None];
     for rep in 0..4 {
-        for slot in 0..3 {
-            let i = (slot + rep) % 3;
-            let (_, isa, legacy) = variants[i];
+        for slot in 0..2 {
+            let i = (slot + rep) % 2;
             let t0 = std::time::Instant::now();
-            let out = run_decode_variant(isa, legacy, &script);
+            let out = run_decode_variant(variants[i].1, &script);
             walls[i] = walls[i].min(t0.elapsed());
             runs[i] = Some(out);
         }
     }
     let runs = runs.map(|r| r.expect("every variant ran"));
-    let equal = runs.iter().all(|(_, _, obs)| *obs == runs[0].2);
+    let equal = runs[0].2 == runs[1].2;
     let rows = variants
         .iter()
         .zip(runs.iter().zip(walls))
-        .map(|(&(variant, isa, legacy), (&(cycles, text_bytes, _), wall))| DecodeBenchRow {
-            variant: variant.to_owned(),
-            isa: isa.name().to_owned(),
-            legacy_decode: legacy,
-            text_bytes,
-            cycles,
-            wall,
-            cycles_per_sec: cycles as f64 / wall.as_secs_f64().max(1e-9),
-        })
+        .map(
+            |(&(variant, isa), (&(cycles, text_bytes, _), wall))| DecodeBenchRow {
+                variant: variant.to_owned(),
+                isa: isa.name().to_owned(),
+                text_bytes,
+                cycles,
+                wall,
+                cycles_per_sec: cycles as f64 / wall.as_secs_f64().max(1e-9),
+            },
+        )
         .collect();
     (rows, equal)
 }
 
 /// Renders monitoring-bench rows as the `BENCH_monitoring.json` document
-/// (`bench-monitoring/v3`: every v2 field is kept — per-engine
-/// `engines.{table,naive,lazy,compiled}` objects with min-of-4 `wall_s`
-/// and `steps_compressed`, compiled-kernel cache counters — and the
-/// document gains a top-level `decode` array with the table-vs-legacy
-/// instruction-decode rows).
+/// (`bench-monitoring/v4`: per-row change-driven work counters, per-engine
+/// `engines.{compiled,naive}` objects with min-of-4 `wall_s` and
+/// `steps_compressed`, compiled-kernel cache counters, and a top-level
+/// `decode` array with the per-encoding instruction-decode rows).
 pub fn render_monitoring_bench_json(
     rows: &[MonitorBenchRow],
     decode: &[DecodeBenchRow],
@@ -1194,7 +1160,7 @@ pub fn render_monitoring_bench_json(
     let mut w = JsonWriter::new();
     w.begin_object();
     w.key("schema");
-    w.string("bench-monitoring/v3");
+    w.string("bench-monitoring/v4");
     w.key("host_parallelism");
     w.number(resolve_jobs(0) as f64);
     w.key("fingerprints_equal");
@@ -1212,32 +1178,26 @@ pub fn render_monitoring_bench_json(
         w.key("cases");
         w.number(row.cases as f64);
         w.key("atoms_evaluated");
-        w.number(row.driven.atoms_evaluated as f64);
+        w.number(row.compiled.atoms_evaluated as f64);
         w.key("atoms_total");
-        w.number(row.driven.atoms_total as f64);
+        w.number(row.compiled.atoms_total as f64);
         w.key("atoms_evaluated_fraction");
-        w.number(if row.driven.atoms_total == 0 {
+        w.number(if row.compiled.atoms_total == 0 {
             0.0
         } else {
-            row.driven.atoms_evaluated as f64 / row.driven.atoms_total as f64
+            row.compiled.atoms_evaluated as f64 / row.compiled.atoms_total as f64
         });
         w.key("steps_compressed");
-        w.number(row.driven.steps_compressed as f64);
+        w.number(row.compiled.steps_compressed as f64);
         w.key("dirty_wakeups");
-        w.number(row.driven.dirty_wakeups as f64);
+        w.number(row.compiled.dirty_wakeups as f64);
         w.key("naive_atoms_evaluated");
         w.number(row.naive.atoms_evaluated as f64);
-        w.key("driven_wall_s");
-        w.number(row.driven_wall.as_secs_f64());
-        w.key("naive_wall_s");
-        w.number(row.naive_wall.as_secs_f64());
         w.key("engines");
         w.begin_object();
         for (name, counters, wall) in [
-            ("table", &row.driven, row.driven_wall),
-            ("naive", &row.naive, row.naive_wall),
-            ("lazy", &row.lazy, row.lazy_wall),
             ("compiled", &row.compiled, row.compiled_wall),
+            ("naive", &row.naive, row.naive_wall),
         ] {
             w.key(name);
             w.begin_object();
@@ -1256,10 +1216,8 @@ pub fn render_monitoring_bench_json(
         w.number(row.cache.compiled_misses as f64);
         w.key("compiled_build_wall_s");
         w.number(row.cache.compiled_build_wall.as_secs_f64());
-        w.key("stutter_build_wall_s");
-        w.number(row.cache.stutter_build_wall.as_secs_f64());
-        w.key("compiled_speedup_vs_table");
-        w.number(row.driven_wall.as_secs_f64() / row.compiled_wall.as_secs_f64().max(1e-9));
+        w.key("naive_over_compiled");
+        w.number(row.naive_wall.as_secs_f64() / row.compiled_wall.as_secs_f64().max(1e-9));
         w.key("fingerprints_equal");
         w.boolean(row.fingerprints_equal);
         w.end_object();
@@ -1275,8 +1233,6 @@ pub fn render_monitoring_bench_json(
         w.string(&row.variant);
         w.key("isa");
         w.string(&row.isa);
-        w.key("legacy_decode");
-        w.boolean(row.legacy_decode);
         w.key("text_bytes");
         w.number(row.text_bytes as f64);
         w.key("cycles");
@@ -1790,7 +1746,8 @@ mod telemetry_tests {
     /// The chrome://tracing JSON object format requires `traceEvents`
     /// plus `name`/`cat`/`ph`/`ts`/`pid`/`tid` per event; instant events
     /// additionally carry a scope `s`. Schema-check the renderer against
-    /// that field set.
+    /// that field set, spelled as the pretty-printing [`json::JsonWriter`]
+    /// writes it (`"key": value`).
     #[test]
     fn chrome_trace_export_matches_the_tracing_field_set() {
         let events = vec![
@@ -1815,21 +1772,21 @@ mod telemetry_tests {
         ];
         let rendered = render_chrome_trace(&events);
         for required in [
-            "\"traceEvents\":",
-            "\"name\":\"job.admit\"",
-            "\"name\":\"shard.dispatch\"",
-            "\"cat\":\"sctc\"",
-            "\"ph\":\"i\"",
-            "\"ts\":10",
-            "\"ts\":25",
-            "\"pid\":1",
-            "\"tid\":2",
-            "\"s\":\"t\"",
-            "\"args\":",
-            "\"trace\":7",
-            "\"parent\":1",
-            "\"shard\":0",
-            "\"displayTimeUnit\":\"ms\"",
+            "\"traceEvents\": [",
+            "\"name\": \"job.admit\"",
+            "\"name\": \"shard.dispatch\"",
+            "\"cat\": \"sctc\"",
+            "\"ph\": \"i\"",
+            "\"ts\": 10",
+            "\"ts\": 25",
+            "\"pid\": 1",
+            "\"tid\": 2",
+            "\"s\": \"t\"",
+            "\"args\": {",
+            "\"trace\": 7",
+            "\"parent\": 1",
+            "\"shard\": 0",
+            "\"displayTimeUnit\": \"ms\"",
         ] {
             assert!(
                 rendered.contains(required),
@@ -1837,7 +1794,7 @@ mod telemetry_tests {
             );
         }
         assert_eq!(
-            rendered.matches("\"ph\":\"i\"").count(),
+            rendered.matches("\"ph\": \"i\"").count(),
             events.len(),
             "one instant event per trace event"
         );
@@ -1872,10 +1829,10 @@ mod telemetry_tests {
         };
         let rendered = render_telemetry_json(&report);
         for required in [
-            "\"schema\":\"bench-telemetry/v1\"",
-            "\"overhead_percent\":1.11",
-            "\"events_recorded\":1",
-            "\"stage\":\"shard.done\"",
+            "\"schema\": \"bench-telemetry/v1\"",
+            "\"overhead_percent\": 1.11",
+            "\"events_recorded\": 1",
+            "\"stage\": \"shard.done\"",
         ] {
             assert!(rendered.contains(required), "missing {required}: {rendered}");
         }

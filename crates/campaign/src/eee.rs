@@ -64,7 +64,7 @@ pub struct CampaignSpec {
 
 impl CampaignSpec {
     /// A derived-model campaign with the defaults of
-    /// [`ExperimentConfig`] (all ops, TB-1000, 10% faults, table engine).
+    /// [`ExperimentConfig`] (all ops, TB-1000, 10% faults, compiled engine).
     pub fn derived(cases: u64, seed: u64) -> Self {
         CampaignSpec {
             flow: FlowKind::Derived,
@@ -75,7 +75,7 @@ impl CampaignSpec {
             jobs: 0,
             chunk: 0,
             fault_percent: 10,
-            engine: EngineKind::Table,
+            engine: EngineKind::Compiled,
             isa: IsaKind::Word32,
             max_ticks: u64::MAX / 2,
             profile: false,
@@ -116,8 +116,8 @@ impl CampaignSpec {
         self
     }
 
-    /// Sets the monitoring engine. The default ([`EngineKind::Table`]) is
-    /// the change-driven pipeline; [`EngineKind::Naive`] re-evaluates every
+    /// Sets the monitoring engine. The default ([`EngineKind::Compiled`])
+    /// is the change-driven pipeline; [`EngineKind::Naive`] re-evaluates every
     /// proposition on every sample. Campaign fingerprints are engine-
     /// independent by construction.
     pub fn with_engine(mut self, engine: EngineKind) -> Self {

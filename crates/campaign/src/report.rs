@@ -51,8 +51,9 @@ pub struct MergedProperty {
     pub violating_shards: Vec<u64>,
     /// Number of shards with a decided verdict.
     pub decided_shards: u64,
-    /// AR-automaton statistics (table engine; identical in every shard —
-    /// the automaton is shared through the synthesis cache).
+    /// AR-automaton statistics (`None` when synthesis was refused;
+    /// identical in every shard — the automaton is shared through the
+    /// synthesis cache).
     pub synthesis: Option<SynthesisStats>,
 }
 
@@ -344,7 +345,7 @@ impl CampaignReport {
         let _ = writeln!(
             out,
             "synthesis cache: {} hits / {} misses ({:.0}% hit rate), {} entries",
-            self.cache.hits,
+            self.cache.hits + self.cache.compiled_hits,
             self.cache.misses,
             100.0 * self.cache.hit_rate(),
             self.cache.entries

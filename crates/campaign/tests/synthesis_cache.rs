@@ -26,7 +26,7 @@ fn tb_sweep_synthesizes_each_bound_exactly_once() {
                     ClosureProp::boxed("op_active", || false),
                     ClosureProp::boxed("op_done", || true),
                 ],
-                EngineKind::Table,
+                EngineKind::Compiled,
             )
             .unwrap();
         }
@@ -35,7 +35,8 @@ fn tb_sweep_synthesizes_each_bound_exactly_once() {
     let stats = cache.stats();
     assert_eq!(stats.misses, 3, "each bound synthesized exactly once");
     assert_eq!(stats.entries, 3);
-    assert_eq!(stats.hits, 9, "all later registrations are hits");
+    assert_eq!(stats.compiled_misses, 3, "each bound lowered exactly once");
+    assert_eq!(stats.compiled_hits, 9, "all later registrations are hits");
     assert!(
         stats.hit_rate() >= 0.5,
         "TB sweep must report >= 50% hit rate, got {:.0}%",

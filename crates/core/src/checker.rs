@@ -8,7 +8,7 @@
 //!
 //! ## Change-driven sampling
 //!
-//! The default engine ([`EngineKind::Table`]) runs a three-stage
+//! The default engine ([`EngineKind::Compiled`]) runs a three-stage
 //! change-driven pipeline instead of re-evaluating every proposition on
 //! every trigger:
 //!
@@ -24,15 +24,19 @@
 //! 3. **Stutter compression** — samples whose (projected) valuation cannot
 //!    have changed are not stepped one-by-one; a check's run is the gap
 //!    between the sample index its monitor was advanced to and the current
-//!    one, flushed through [`TableMonitor::step_many`] (O(log n) via the
-//!    automaton's stutter-run tables) at the next change or verdict query.
-//!    While no observed model's watch epoch moves, a sample touches no
-//!    check at all (the clean path of [`Sctc::sample`]).
+//!    one, flushed through [`CompiledMonitor::step_run`] (one run-table
+//!    lookup, whatever the run's length) at the next change or verdict
+//!    query. While no observed model's watch epoch moves, a sample
+//!    touches no check at all (the clean path of [`Sctc::sample`]).
 //!
 //! Verdicts, decision sample indices and all campaign fingerprints are
 //! bit-identical to the naive pipeline, which remains available as
 //! [`EngineKind::Naive`] (and is cross-checked in the test suite). The
 //! avoided work is reported through [`Sctc::counters`].
+//!
+//! A formula synthesis refuses (more than 12 propositions, or past the
+//! state limit) is registered under either engine as a naive check over
+//! the progression [`Monitor`], which needs no automaton.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -55,28 +59,17 @@ use crate::proposition::{Proposition, Watch};
 /// Which monitoring engine to instantiate per property.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub enum EngineKind {
-    /// Explicitly synthesized AR-automaton (the paper's pipeline; synthesis
-    /// time is part of the verification time), driven by the change-driven
-    /// sampling pipeline: interned atoms, dirty tracking, stutter-compressed
-    /// stepping.
+    /// The AR-automaton (the paper's pipeline; synthesis time is part of
+    /// the verification time) lowered into a [`CompiledMonitor`] and
+    /// driven by the change-driven sampling pipeline: interned atoms,
+    /// dirty tracking, and stutter runs answered by one run-table lookup.
     #[default]
-    Table,
+    Compiled,
     /// The synthesized automaton stepped naively: every bound proposition
     /// is re-evaluated on every sample and every sample is one table step.
     /// Kept as the reference engine for equivalence checks and as the
-    /// "before" side of the monitoring benchmarks.
+    /// "before" side of the monitoring benchmark.
     Naive,
-    /// Lazy formula progression driven by the change-driven pipeline: no
-    /// synthesis cost, hash-consed residual obligations, and a persistent
-    /// `(node, valuation)` progression memo so repeated valuations (the
-    /// stutter case) progress in O(1).
-    Lazy,
-    /// The AR-automaton lowered at synthesis time into a
-    /// [`CompiledMonitor`] — dense jump arrays, a precomputed run table
-    /// that answers a stutter flush of any length with one lookup, and
-    /// packed per-state self-loop flags. The fastest engine; verdicts,
-    /// decision indices and fingerprints are bit-identical to the others.
-    Compiled,
 }
 
 /// Counters of monitoring work avoided (and done) by the change-driven
@@ -92,7 +85,7 @@ pub struct MonitorCounters {
     /// (per sample: every proposition of every undecided property).
     pub atoms_total: u64,
     /// Monitor steps that were deferred as identical-valuation stutter and
-    /// later applied in bulk through `step_many` instead of one-by-one.
+    /// later applied in bulk through `step_run` instead of one-by-one.
     pub steps_compressed: u64,
     /// Samples in which at least one atom was (re-)evaluated.
     pub dirty_wakeups: u64,
@@ -148,9 +141,10 @@ pub enum SctcError {
         /// The unbound proposition name.
         proposition: String,
     },
-    /// AR-automaton synthesis failed.
+    /// AR-automaton synthesis failed for a reason progression cannot
+    /// work around (the formula could not be interned).
     Synthesis(SynthesisError),
-    /// The lazy monitor rejected the formula.
+    /// The progression monitor rejected the formula.
     Il(sctc_temporal::IlError),
 }
 
@@ -187,7 +181,8 @@ pub struct PropertyResult {
     pub verdict: Verdict,
     /// Sample index (1-based) at which the verdict was decided.
     pub decided_at: Option<u64>,
-    /// AR-automaton synthesis statistics (table engines only).
+    /// AR-automaton synthesis statistics; `None` when synthesis was
+    /// refused and the property runs on formula progression.
     pub synthesis: Option<SynthesisStats>,
 }
 
@@ -239,89 +234,12 @@ struct DirtySource {
     drained_at: u64,
 }
 
-/// The monitor behind a change-driven check. A closed enum (not a trait
-/// object) so the per-sample dispatch is a jump, not a vtable load, and so
-/// each variant's native bulk-stepping entry point stays reachable.
-enum DrivenMonitor {
-    /// Synthesized AR-automaton stepped through its transition table.
-    Table(TableMonitor),
-    /// Compiled kernel: jump array + precomputed run table.
-    Compiled(CompiledMonitor),
-    /// Memoized formula progression (no synthesis).
-    Lazy(Box<Monitor>),
-}
-
-impl DrivenMonitor {
-    #[inline]
-    fn step(&mut self, valuation: u64) -> Verdict {
-        match self {
-            DrivenMonitor::Table(m) => m.step(valuation),
-            DrivenMonitor::Compiled(m) => m.step(valuation),
-            DrivenMonitor::Lazy(m) => m.step(valuation),
-        }
-    }
-
-    /// Applies `n` identical-valuation steps through the variant's bulk
-    /// kernel (run-table lookup / binary lifting / progression fixpoint).
-    #[inline]
-    fn step_many(&mut self, valuation: u64, n: u64) -> Verdict {
-        match self {
-            DrivenMonitor::Table(m) => m.step_many(valuation, n),
-            DrivenMonitor::Compiled(m) => m.step_run(valuation, n),
-            DrivenMonitor::Lazy(m) => m.step_many(valuation, n),
-        }
-    }
-
-    #[inline]
-    fn verdict(&self) -> Verdict {
-        match self {
-            DrivenMonitor::Table(m) => m.verdict(),
-            DrivenMonitor::Compiled(m) => m.verdict(),
-            DrivenMonitor::Lazy(m) => m.verdict(),
-        }
-    }
-
-    fn decided_at(&self) -> Option<u64> {
-        match self {
-            DrivenMonitor::Table(m) => m.decided_at(),
-            DrivenMonitor::Compiled(m) => m.decided_at(),
-            DrivenMonitor::Lazy(m) => m.decided_at(),
-        }
-    }
-
-    /// The automaton state id, where the engine has one (diagnosis layer;
-    /// the lazy engine's residual formula has no stable numeric state).
-    fn state(&self) -> Option<u32> {
-        match self {
-            DrivenMonitor::Table(m) => Some(m.state()),
-            DrivenMonitor::Compiled(m) => Some(m.state()),
-            DrivenMonitor::Lazy(_) => None,
-        }
-    }
-
-    fn reset(&mut self) {
-        match self {
-            DrivenMonitor::Table(m) => m.reset(),
-            DrivenMonitor::Compiled(m) => m.reset(),
-            DrivenMonitor::Lazy(m) => TraceMonitor::reset(&mut **m),
-        }
-    }
-
-    fn as_trace(&self) -> &dyn TraceMonitor {
-        match self {
-            DrivenMonitor::Table(m) => m,
-            DrivenMonitor::Compiled(m) => m,
-            DrivenMonitor::Lazy(m) => &**m,
-        }
-    }
-}
-
 /// Per-property monitoring state.
 enum CheckEngine {
     /// Change-driven: projection from the shared atom table plus
     /// stutter-compressed stepping.
     Driven {
-        monitor: DrivenMonitor,
+        monitor: CompiledMonitor,
         /// Atom index feeding each automaton prop bit.
         atom_bits: Vec<usize>,
         /// The valuation of the last stepped (or deferred) samples.
@@ -334,7 +252,8 @@ enum CheckEngine {
         primed: bool,
     },
     /// Self-contained: the monitor evaluates its own bound propositions on
-    /// every sample (the naive table pipeline and the lazy engine).
+    /// every sample (the naive table pipeline, and progression for a
+    /// formula synthesis refused).
     Naive {
         monitor: Box<dyn TraceMonitor>,
         /// Bound propositions, ordered to match `monitor.props()`.
@@ -345,7 +264,7 @@ enum CheckEngine {
 impl CheckEngine {
     fn monitor(&self) -> &dyn TraceMonitor {
         match self {
-            CheckEngine::Driven { monitor, .. } => monitor.as_trace(),
+            CheckEngine::Driven { monitor, .. } => monitor,
             CheckEngine::Naive { monitor, .. } => monitor.as_ref(),
         }
     }
@@ -576,7 +495,7 @@ fn static_label(prop: &dyn Proposition) -> String {
 ///     "rises",
 ///     &parse("F[<=5] high").unwrap(),
 ///     vec![ClosureProp::boxed("high", move || c.get() > 2)],
-///     EngineKind::Table,
+///     EngineKind::Compiled,
 /// ).unwrap();
 /// for _ in 0..4 {
 ///     level += 1;
@@ -664,42 +583,27 @@ impl Sctc {
         props: Vec<Box<dyn Proposition>>,
         engine: EngineKind,
     ) -> Result<(), SctcError> {
+        // The process-wide cache shares one immutable kernel (or automaton)
+        // per distinct formula across all checker instances, and thus
+        // across campaign worker threads.
+        let cache = SynthesisCache::global();
         let (engine, synthesis) = match engine {
-            EngineKind::Table => {
-                // The process-wide cache shares one immutable transition
-                // table per distinct formula across all checker instances
-                // (and thus across campaign worker threads).
-                let automaton = SynthesisCache::global().synthesize(formula)?;
-                let stats = automaton.stats();
-                let monitor = DrivenMonitor::Table(TableMonitor::from_shared(automaton));
-                (self.driven_engine(monitor, props, name)?, Some(stats))
-            }
-            EngineKind::Compiled => {
-                // Same cache, one lowering per distinct formula process-wide.
-                let kernel = SynthesisCache::global().synthesize_compiled(formula)?;
-                let stats = kernel.stats();
-                let monitor = DrivenMonitor::Compiled(CompiledMonitor::from_shared(kernel));
-                (self.driven_engine(monitor, props, name)?, Some(stats))
-            }
-            EngineKind::Lazy => {
-                let monitor =
-                    DrivenMonitor::Lazy(Box::new(Monitor::new(formula).map_err(SctcError::Il)?));
-                // No synthesis stats: progression never builds the table.
-                (self.driven_engine(monitor, props, name)?, None)
-            }
-            EngineKind::Naive => {
-                let automaton = SynthesisCache::global().synthesize(formula)?;
-                let stats = automaton.stats();
-                let monitor: Box<dyn TraceMonitor> = Box::new(TableMonitor::from_shared(automaton));
-                let ordered = order_props(monitor.props(), props, name)?;
-                (
-                    CheckEngine::Naive {
-                        monitor,
-                        props: ordered,
-                    },
-                    Some(stats),
-                )
-            }
+            EngineKind::Compiled => match cache.synthesize_compiled(formula) {
+                Ok(kernel) => {
+                    let stats = kernel.stats();
+                    let monitor = CompiledMonitor::from_shared(kernel);
+                    (self.driven_engine(monitor, props, name)?, Some(stats))
+                }
+                Err(refused) => (progression_engine(formula, props, name, refused)?, None),
+            },
+            EngineKind::Naive => match cache.synthesize(formula) {
+                Ok(automaton) => {
+                    let stats = automaton.stats();
+                    let monitor = Box::new(TableMonitor::from_shared(automaton));
+                    (naive_engine(monitor, props, name)?, Some(stats))
+                }
+                Err(refused) => (progression_engine(formula, props, name, refused)?, None),
+            },
         };
         if let Some(stats) = &synthesis {
             sctc_obs::trace::emit(
@@ -719,15 +623,15 @@ impl Sctc {
         Ok(())
     }
 
-    /// Wraps a driven monitor into a change-driven [`CheckEngine`],
+    /// Wraps a compiled monitor into a change-driven [`CheckEngine`],
     /// interning its propositions into the shared atom table.
     fn driven_engine(
         &mut self,
-        monitor: DrivenMonitor,
+        monitor: CompiledMonitor,
         props: Vec<Box<dyn Proposition>>,
         name: &str,
     ) -> Result<CheckEngine, SctcError> {
-        let ordered = order_props(monitor.as_trace().props(), props, name)?;
+        let ordered = order_props(monitor.props(), props, name)?;
         let atom_bits = ordered
             .into_iter()
             .map(|prop| self.intern_atom(prop))
@@ -1045,7 +949,7 @@ impl Sctc {
         let sample_idx = self.samples;
         let mut evaluated_this_sample = 0u64;
 
-        // Naive/lazy checks are self-contained.
+        // Naive checks are self-contained.
         let mut naive_live = false;
         let mut naive_total = 0u64;
         for (ci, check) in self.checks.iter_mut().enumerate() {
@@ -1147,7 +1051,7 @@ impl Sctc {
 
             // Stage 3: project and step. An unchanged valuation extends
             // the check's stutter run; a change flushes the run through
-            // step_many and then steps the new valuation.
+            // step_run and then steps the new valuation.
             let step_t0 = self.hot.as_mut().and_then(|hot| {
                 hot.steps += 1;
                 (hot.steps % sctc_obs::SAMPLE_RATE == 1).then(std::time::Instant::now)
@@ -1176,7 +1080,7 @@ impl Sctc {
                 let run = sample_idx - 1 - *advanced_to;
                 if run > 0 {
                     self.counters.steps_compressed += run;
-                    monitor.step_many(*last_valuation, run);
+                    monitor.step_run(*last_valuation, run);
                     if monitor.verdict().is_decided() {
                         // The deferred run decided at an earlier sample;
                         // this sample is not consumed (exactly as the
@@ -1199,7 +1103,7 @@ impl Sctc {
                     }
                 }
                 if let Some(obs) = self.obs.as_mut() {
-                    obs.on_step(ci, sample_idx, valuation, monitor.state());
+                    obs.on_step(ci, sample_idx, valuation, Some(monitor.state()));
                 }
                 monitor.step(valuation);
                 *advanced_to = sample_idx;
@@ -1238,7 +1142,7 @@ impl Sctc {
                 let run = self.samples - *advanced_to;
                 if run > 0 && !monitor.verdict().is_decided() {
                     self.counters.steps_compressed += run;
-                    monitor.step_many(*last_valuation, run);
+                    monitor.step_run(*last_valuation, run);
                     *advanced_to = self.samples;
                     if monitor.verdict().is_decided() {
                         // The undecided set shrank, and with it what a
@@ -1346,6 +1250,38 @@ impl Sctc {
     }
 }
 
+/// A self-contained check: `monitor` evaluates its own bound propositions
+/// on every sample.
+fn naive_engine(
+    monitor: Box<dyn TraceMonitor>,
+    props: Vec<Box<dyn Proposition>>,
+    name: &str,
+) -> Result<CheckEngine, SctcError> {
+    Ok(CheckEngine::Naive {
+        props: order_props(monitor.props(), props, name)?,
+        monitor,
+    })
+}
+
+/// The check for a formula synthesis refused: too many propositions or
+/// too many states for an automaton, so the progression [`Monitor`]
+/// rewrites the formula itself on every sample. Any other synthesis error
+/// is returned.
+fn progression_engine(
+    formula: &Formula,
+    props: Vec<Box<dyn Proposition>>,
+    name: &str,
+    refused: SynthesisError,
+) -> Result<CheckEngine, SctcError> {
+    match refused {
+        SynthesisError::TooManyPropositions { .. } | SynthesisError::StateLimitExceeded { .. } => {
+            let monitor = Monitor::new(formula).map_err(SctcError::Il)?;
+            naive_engine(Box::new(monitor), props, name)
+        }
+        other => Err(other.into()),
+    }
+}
+
 /// Orders the bound propositions to match the monitor's proposition
 /// table (valuation-bit order).
 fn order_props(
@@ -1430,7 +1366,7 @@ mod tests {
             "eventually_a",
             &parse("F[<=3] a").unwrap(),
             vec![flag_prop("a", a.clone())],
-            EngineKind::Table,
+            EngineKind::Compiled,
         )
         .unwrap();
         sctc.sample();
@@ -1451,7 +1387,7 @@ mod tests {
                 "p",
                 &parse("G (a -> b)").unwrap(),
                 vec![ClosureProp::boxed("a", || true)],
-                EngineKind::Table,
+                EngineKind::Compiled,
             )
             .unwrap_err();
         match err {
@@ -1461,7 +1397,7 @@ mod tests {
     }
 
     #[test]
-    fn all_four_engines_agree() {
+    fn both_engines_agree() {
         let formula = parse("G (req -> F[<=2] ack)").unwrap();
         let req = Rc::new(Cell::new(false));
         let ack = Rc::new(Cell::new(false));
@@ -1476,10 +1412,8 @@ mod tests {
             .unwrap();
             sctc
         };
-        let mut table = build(EngineKind::Table);
-        let mut naive = build(EngineKind::Naive);
-        let mut lazy = build(EngineKind::Lazy);
         let mut compiled = build(EngineKind::Compiled);
+        let mut naive = build(EngineKind::Naive);
         // req with no ack within 2 samples → violation.
         let scenario = [
             (true, false),
@@ -1490,21 +1424,43 @@ mod tests {
         for (r, a) in scenario {
             req.set(r);
             ack.set(a);
-            table.sample();
-            naive.sample();
-            lazy.sample();
             compiled.sample();
+            naive.sample();
         }
         // The request at sample 1 starves through samples 2 and 3; the
         // bound is exhausted at sample 3.
-        for sctc in [&mut table, &mut naive, &mut lazy, &mut compiled] {
+        for sctc in [&mut compiled, &mut naive] {
             let r = &sctc.results()[0];
             assert_eq!(r.verdict, Verdict::False);
             assert_eq!(r.decided_at, Some(3));
+            assert!(r.synthesis.is_some());
         }
-        assert!(naive.results()[0].synthesis.is_some());
-        assert!(compiled.results()[0].synthesis.is_some());
-        assert!(lazy.results()[0].synthesis.is_none());
+    }
+
+    #[test]
+    fn refused_synthesis_falls_back_to_progression() {
+        // 13 propositions: one past the automaton's column limit.
+        let names: Vec<String> = (0..13).map(|i| format!("p{i:02}")).collect();
+        let formula = parse(&format!("F[<=4] ({})", names.join(" & "))).unwrap();
+        let high = Rc::new(Cell::new(false));
+        for engine in [EngineKind::Compiled, EngineKind::Naive] {
+            let mut sctc = Sctc::new();
+            let props = names.iter().map(|n| flag_prop(n, high.clone())).collect();
+            sctc.add_property("wide", &formula, props, engine).unwrap();
+            high.set(false);
+            sctc.sample();
+            sctc.sample();
+            assert_eq!(sctc.clean, None, "progression checks sample every time");
+            high.set(true);
+            sctc.sample();
+            let r = &sctc.results()[0];
+            assert_eq!((r.verdict, r.decided_at), (Verdict::True, Some(3)));
+            assert!(r.synthesis.is_none(), "{engine:?}: no automaton was built");
+        }
+        // The fallback still checks the bindings.
+        let mut sctc = Sctc::new();
+        let missing = sctc.add_property("wide", &formula, Vec::new(), EngineKind::Compiled);
+        assert!(matches!(missing, Err(SctcError::MissingProposition { .. })));
     }
 
     #[test]
@@ -1519,7 +1475,7 @@ mod tests {
                 e.set(e.get() + 1);
                 true
             })],
-            EngineKind::Table,
+            EngineKind::Compiled,
         )
         .unwrap();
         sctc.sample();
@@ -1537,14 +1493,14 @@ mod tests {
             "holds",
             &parse("G[<=1] a").unwrap(),
             vec![flag_prop("a", a.clone())],
-            EngineKind::Table,
+            EngineKind::Compiled,
         )
         .unwrap();
         sctc.add_property(
             "fails",
             &parse("G[<=5] !a").unwrap(),
             vec![flag_prop("a", a.clone())],
-            EngineKind::Table,
+            EngineKind::Compiled,
         )
         .unwrap();
         sctc.sample();
@@ -1590,7 +1546,7 @@ mod tests {
                 "g",
                 1,
             )],
-            EngineKind::Table,
+            EngineKind::Compiled,
         )
         .unwrap();
         sctc.add_property(
@@ -1600,7 +1556,7 @@ mod tests {
                 crate::proposition::esw::global_eq("on", interp.clone(), "g", 1),
                 crate::proposition::esw::global_eq("off", interp.clone(), "g", 0),
             ],
-            EngineKind::Table,
+            EngineKind::Compiled,
         )
         .unwrap();
         assert_eq!(sctc.atom_count(), 2, "`g == 1` interns to one atom");
@@ -1624,7 +1580,7 @@ mod tests {
                 crate::proposition::esw::global_eq("go", interp.clone(), "g", 1),
                 crate::proposition::esw::global_eq("done", interp.clone(), "g", 2),
             ],
-            EngineKind::Table,
+            EngineKind::Compiled,
         )
         .unwrap();
         sctc.sample(); // first sample evaluates both atoms
@@ -1665,7 +1621,7 @@ mod tests {
         };
         let mut reused = Sctc::new();
         reused
-            .add_property("resp", &formula, props(&interp), EngineKind::Table)
+            .add_property("resp", &formula, props(&interp), EngineKind::Compiled)
             .unwrap();
 
         // Case 1: trigger, stutter a while (pending accumulates), abandon
@@ -1681,7 +1637,7 @@ mod tests {
         // Case 2 on the reused checker vs a fresh one.
         let mut fresh = Sctc::new();
         fresh
-            .add_property("resp", &formula, props(&interp), EngineKind::Table)
+            .add_property("resp", &formula, props(&interp), EngineKind::Compiled)
             .unwrap();
         for step in 0..30u32 {
             let v = match step {
@@ -1719,7 +1675,7 @@ mod tests {
                 "g",
                 1,
             )],
-            EngineKind::Table,
+            EngineKind::Compiled,
         )
         .unwrap();
         for _ in 0..3 {
@@ -1775,7 +1731,7 @@ mod tests {
         };
         let mut sctc = Sctc::new();
         sctc.enable_witnesses(WitnessConfig::default());
-        sctc.add_property("resp", &formula, props(&interp), EngineKind::Table)
+        sctc.add_property("resp", &formula, props(&interp), EngineKind::Compiled)
             .unwrap();
         for _ in 0..5 {
             sctc.sample();
@@ -1804,7 +1760,7 @@ mod tests {
             "p",
             &parse("G a").unwrap(),
             vec![flag_prop("a", a.clone())],
-            EngineKind::Table,
+            EngineKind::Compiled,
         )
         .unwrap();
         sctc.sample();
@@ -1865,7 +1821,7 @@ mod tests {
                 "v",
                 &parse("G[<=50] a").unwrap(),
                 vec![flag_prop("a", closure.clone())],
-                EngineKind::Table,
+                EngineKind::Compiled,
             )
             .unwrap();
         closure.set(true);
@@ -1880,7 +1836,7 @@ mod tests {
         let mut captured = Sctc::new();
         captured.enable_witnesses(WitnessConfig::default());
         captured
-            .add_property("c", &resp, props(), EngineKind::Table)
+            .add_property("c", &resp, props(), EngineKind::Compiled)
             .unwrap();
         captured.sample();
         assert_eq!(captured.clean, None, "witness capture records every sample");

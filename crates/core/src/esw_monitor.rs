@@ -118,7 +118,7 @@ mod tests {
             "result_reaches_5",
             &parse("F[<=40] result_is_5").unwrap(),
             vec![mem::word_eq("result_is_5", soc.clone(), 0x104, 5)],
-            EngineKind::Table,
+            EngineKind::Compiled,
         )
         .unwrap();
         let sctc = share_sctc(sctc);
@@ -150,7 +150,7 @@ mod tests {
             "anything",
             &parse("F[<=10] p").unwrap(),
             vec![mem::word_eq("p", soc.clone(), 0x104, 5)],
-            EngineKind::Table,
+            EngineKind::Compiled,
         )
         .unwrap();
         let sctc = share_sctc(sctc);

@@ -681,7 +681,7 @@ mod tests {
                 esw::global_eq("one", h.clone(), "status", 1),
                 esw::global_eq("two", h.clone(), "status", 2),
             ],
-            EngineKind::Table,
+            EngineKind::Compiled,
         )
         .unwrap();
         let report = flow.run(Box::new(SingleRun::new()), 1_000_000).unwrap();
@@ -705,7 +705,7 @@ mod tests {
                 mem::word_eq("one", soc.clone(), status, 1),
                 mem::word_eq("two", soc.clone(), status, 2),
             ],
-            EngineKind::Table,
+            EngineKind::Compiled,
         )
         .unwrap();
         let report = flow.run(Box::new(SingleRun::new()), 100_000_000).unwrap();
@@ -726,7 +726,7 @@ mod tests {
                 esw::global_eq("one", h.clone(), "status", 1),
                 esw::global_eq("two", h.clone(), "status", 2),
             ],
-            EngineKind::Table,
+            EngineKind::Compiled,
         )
         .unwrap();
         let report = flow.run(Box::new(SingleRun::new()), 1_000_000).unwrap();
@@ -746,7 +746,7 @@ mod tests {
                 "t",
                 &bounded,
                 vec![esw::global_eq("two", h.clone(), "status", 2)],
-                EngineKind::Lazy,
+                EngineKind::Compiled,
             )
             .unwrap();
         let dreport = dflow.run(Box::new(SingleRun::new()), 10_000_000).unwrap();
@@ -760,7 +760,7 @@ mod tests {
                 "t",
                 &bounded,
                 vec![mem::word_eq("two", soc.clone(), status, 2)],
-                EngineKind::Lazy,
+                EngineKind::Compiled,
             )
             .unwrap();
         let mreport = mflow.run(Box::new(SingleRun::new()), 100_000_000).unwrap();
@@ -787,7 +787,7 @@ mod tests {
                 esw::global_eq("one", h.clone(), "status", 1),
                 esw::global_eq("two", h.clone(), "status", 2),
             ],
-            EngineKind::Table,
+            EngineKind::Compiled,
         )
         .unwrap();
         let report = flow.run(Box::new(SingleRun::new()), 1_000_000).unwrap();

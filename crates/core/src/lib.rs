@@ -35,7 +35,7 @@
 //!         esw::global_eq("one", h.clone(), "status", 1),
 //!         esw::global_eq("two", h.clone(), "status", 2),
 //!     ],
-//!     EngineKind::Table,
+//!     EngineKind::Compiled,
 //! ).unwrap();
 //! let report = flow.run(Box::new(SingleRun::new()), 100_000).unwrap();
 //! assert_eq!(report.properties[0].verdict, Verdict::True);

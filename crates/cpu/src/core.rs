@@ -71,10 +71,6 @@ pub struct Cpu {
     halted: bool,
     retired: u64,
     isa: IsaKind,
-    /// Bench-only escape hatch: route `Word32` fetches through the
-    /// pre-table hand-written decoder so `repro --monitor-bench` can
-    /// time table vs. legacy decode on the real clocked flow.
-    legacy_decode: bool,
 }
 
 impl Cpu {
@@ -92,24 +88,12 @@ impl Cpu {
             halted: false,
             retired: 0,
             isa,
-            legacy_decode: false,
         }
     }
 
     /// The instruction encoding this core executes.
     pub fn isa(&self) -> IsaKind {
         self.isa
-    }
-
-    /// Routes `Word32` decoding through the legacy hand-written decoder
-    /// (bench baseline; no effect under `Comp16`).
-    pub fn set_legacy_decode(&mut self, on: bool) {
-        self.legacy_decode = on;
-    }
-
-    /// Whether the legacy decoder baseline is selected.
-    pub fn legacy_decode(&self) -> bool {
-        self.legacy_decode
     }
 
     /// Returns a register value (`r0` always reads zero).
@@ -203,15 +187,7 @@ impl Cpu {
             return Ok(StepOutcome::Halted);
         }
         let (instr, size) = match self.isa {
-            IsaKind::Word32 => {
-                let word = mem.read_u32(self.pc)?;
-                let instr = if self.legacy_decode {
-                    Instr::decode_legacy(word)?
-                } else {
-                    Instr::decode(word)?
-                };
-                (instr, 4)
-            }
+            IsaKind::Word32 => (Instr::decode(mem.read_u32(self.pc)?)?, 4),
             IsaKind::Comp16 => {
                 let lo = mem.read_u16(self.pc)?;
                 let ext = Instr::c16_ext(lo)?;
@@ -479,22 +455,5 @@ mod tests {
         let mut cpu = Cpu::with_isa(0, IsaKind::Comp16);
         let err = cpu.step(&mut mem).unwrap_err();
         assert!(matches!(err, CpuError::Decode(_)));
-    }
-
-    #[test]
-    fn legacy_decoder_flag_changes_nothing_observable() {
-        let r = Reg::new;
-        let program = [
-            Instr::Addi(r(1), Reg::ZERO, 6).encode(),
-            Instr::Alu(AluOp::Mul, r(2), r(1), r(1)).encode(),
-            Instr::Halt.encode(),
-        ];
-        let mut mem = Memory::new(4096);
-        mem.load_image(0, &program);
-        let mut cpu = Cpu::new(0);
-        cpu.set_legacy_decode(true);
-        assert!(cpu.legacy_decode());
-        cpu.run(&mut mem, 100).unwrap();
-        assert_eq!(cpu.reg(Reg::new(2)), 36);
     }
 }

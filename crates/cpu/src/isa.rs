@@ -416,66 +416,6 @@ impl Instr {
         Ok(Instr::from_fields(desc.kind, rd, rs1, imm))
     }
 
-    /// The pre-table hand-written decoder, kept verbatim as the baseline
-    /// for `repro --monitor-bench`'s decode comparison. Not used by any
-    /// flow; semantics are identical to [`Instr::decode`].
-    pub fn decode_legacy(word: u32) -> Result<Instr, DecodeError> {
-        use AluOp::*;
-        use BranchCond::*;
-        let op = word >> 24;
-        let rd = Reg(((word >> 20) & 0xf) as u8);
-        let rs1 = Reg(((word >> 16) & 0xf) as u8);
-        let rs2 = Reg(((word >> 12) & 0xf) as u8);
-        let imm = (word & 0xffff) as u16;
-        let simm = imm as i16;
-        Ok(match op {
-            0x00 => Instr::Nop,
-            0x7f => Instr::Halt,
-            o @ 0x01..=0x0f => {
-                let alu = match o - 0x01 {
-                    0 => Add,
-                    1 => Sub,
-                    2 => And,
-                    3 => Or,
-                    4 => Xor,
-                    5 => Sll,
-                    6 => Srl,
-                    7 => Sra,
-                    8 => Slt,
-                    9 => Sltu,
-                    10 => Mul,
-                    11 => Div,
-                    12 => Rem,
-                    13 => Divu,
-                    _ => Remu,
-                };
-                Instr::Alu(alu, rd, rs1, rs2)
-            }
-            0x20 => Instr::Addi(rd, rs1, simm),
-            0x21 => Instr::Andi(rd, rs1, imm),
-            0x22 => Instr::Ori(rd, rs1, imm),
-            0x23 => Instr::Xori(rd, rs1, imm),
-            0x24 => Instr::Sltiu(rd, rs1, imm),
-            0x25 => Instr::Lui(rd, imm),
-            0x30 => Instr::Lw(rd, rs1, simm),
-            0x31 => Instr::Sw(rd, rs1, simm),
-            o @ 0x40..=0x45 => {
-                let cond = match o - 0x40 {
-                    0 => Eq,
-                    1 => Ne,
-                    2 => Lt,
-                    3 => Ge,
-                    4 => Ltu,
-                    _ => Geu,
-                };
-                Instr::Branch(cond, rs1, rd, simm)
-            }
-            0x50 => Instr::Jal(rd, simm),
-            0x51 => Instr::Jalr(rd, rs1, simm),
-            _ => return Err(DecodeError { word }),
-        })
-    }
-
     /// Whether this operation is always emitted in extended (4-byte) form
     /// under `Comp16`. Control flow always extends so instruction sizes
     /// are position-independent and layout needs no relaxation fixpoint.
@@ -726,18 +666,6 @@ mod tests {
             let word = instr.encode();
             let back = Instr::decode(word).unwrap();
             assert_eq!(instr, back, "word {word:#010x}");
-        }
-    }
-
-    #[test]
-    fn table_decode_matches_legacy_decoder() {
-        for instr in all_sample_instrs() {
-            let word = instr.encode();
-            assert_eq!(Instr::decode(word), Instr::decode_legacy(word));
-        }
-        for opcode in 0u32..=255 {
-            let word = (opcode << 24) | 0x0012_3456;
-            assert_eq!(Instr::decode(word), Instr::decode_legacy(word), "{word:#x}");
         }
     }
 

@@ -44,13 +44,11 @@ impl Soc {
     }
 
     /// Restarts the core at the reset vector, preserving its configured
-    /// instruction encoding (and the bench decoder selection), and clears
-    /// any fault. Memory and devices are untouched — this models the
-    /// test harness pulsing the CPU reset line between cases.
+    /// instruction encoding, and clears any fault. Memory and devices are
+    /// untouched — this models the test harness pulsing the CPU reset line
+    /// between cases.
     pub fn reset_cpu(&mut self) {
-        let mut cpu = Cpu::with_isa(0, self.cpu.isa());
-        cpu.set_legacy_decode(self.cpu.legacy_decode());
-        self.cpu = cpu;
+        self.cpu = Cpu::with_isa(0, self.cpu.isa());
         self.fault = None;
     }
 

@@ -49,7 +49,7 @@ impl Default for ExperimentConfig {
             cases: 100,
             bound: Some(1000),
             fault_percent: 10,
-            engine: EngineKind::Table,
+            engine: EngineKind::Compiled,
             isa: IsaKind::Word32,
             max_ticks: u64::MAX / 2,
             profile: false,

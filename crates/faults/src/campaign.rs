@@ -67,7 +67,7 @@ impl FaultCampaignSpec {
             chunk: 0,
             fault_percent: 35,
             recovery_bound: 5_000,
-            engine: EngineKind::Table,
+            engine: EngineKind::Compiled,
             max_ticks: u64::MAX / 2,
             profile: false,
         }

@@ -115,8 +115,8 @@ pub struct ScenarioObs {
     /// Enable the span profiler.
     pub profile: bool,
     /// Monitoring engine for both scenario properties (defaults to the
-    /// change-driven table engine; equivalence tests swap in `Naive` and
-    /// `Lazy` to prove the scenario verdicts are engine-independent).
+    /// change-driven compiled engine; equivalence tests swap in `Naive` to
+    /// prove the scenario verdicts are engine-independent).
     pub engine: EngineKind,
 }
 

@@ -87,12 +87,10 @@ fn healthy_esw_never_serves_a_torn_write_under_the_fault_campaign() {
 }
 
 #[test]
-fn all_three_engines_detect_the_same_faults() {
+fn both_engines_detect_the_same_faults() {
     // The matrix fingerprint hashes every fault consequence and verdict;
     // it must not depend on the monitoring engine, only the work counters
-    // (outside the fingerprint) may differ. Lazy progression monitors the
-    // same fault-perturbed traces as both table engines, so it must agree
-    // record for record too.
+    // (outside the fingerprint) may differ.
     let spec = FaultCampaignSpec::derived(60, 20080310)
         .with_chunk(10)
         .with_fault_percent(40)
@@ -104,16 +102,8 @@ fn all_three_engines_detect_the_same_faults() {
             .with_engine(sctc_core::EngineKind::Naive)
             .with_jobs(1),
     );
-    let lazy = run_fault_campaign(
-        &spec
-            .clone()
-            .with_engine(sctc_core::EngineKind::Lazy)
-            .with_jobs(2),
-    );
     assert_eq!(driven.matrix.canonical(), naive.matrix.canonical());
     assert_eq!(driven.matrix.fingerprint(), naive.matrix.fingerprint());
-    assert_eq!(driven.matrix.canonical(), lazy.matrix.canonical());
-    assert_eq!(driven.matrix.fingerprint(), lazy.matrix.fingerprint());
     assert_eq!(
         naive.matrix.monitoring.atoms_evaluated,
         naive.matrix.monitoring.atoms_total
@@ -126,7 +116,7 @@ fn all_three_engines_detect_the_same_faults() {
 }
 
 #[test]
-fn lazy_engine_grades_the_torn_write_scenario_like_the_table_engine() {
+fn both_engines_grade_the_torn_write_scenario_alike() {
     // The scripted power cut under the torn mutant is the sharpest
     // engine-coverage probe: `G intact` must flip to `False` at the same
     // point regardless of engine, and the healthy ESW must stay clean.
@@ -136,7 +126,7 @@ fn lazy_engine_grades_the_torn_write_scenario_like_the_table_engine() {
     use sctc_campaign::FlowKind;
     use sctc_core::EngineKind;
 
-    for engine in [EngineKind::Table, EngineKind::Naive, EngineKind::Lazy] {
+    for engine in [EngineKind::Compiled, EngineKind::Naive] {
         let obs = ScenarioObs {
             engine,
             ..ScenarioObs::default()

@@ -42,8 +42,8 @@ pub struct WitnessStep {
     pub repeat: u64,
     /// Packed atom valuation (bit `i` is `atom_names[i]`).
     pub valuation: u64,
-    /// AR-automaton state *before* the run's first step; `None` when
-    /// the monitoring engine exposes no table state (lazy monitor).
+    /// AR-automaton state *before* the run's first step; `None` for
+    /// naive checks, which record no automaton state.
     pub state_before: Option<u32>,
 }
 

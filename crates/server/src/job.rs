@@ -3,12 +3,10 @@
 //! A [`JobSpec`] is the *content* of a verification request: everything
 //! that determines the result bits, and nothing that doesn't. Scheduling
 //! knobs — worker count, deadline — live in [`JobOptions`], outside the
-//! cache key, because PRs 2–6 prove the fingerprints are identical for any
-//! `--jobs`. The monitoring engine *is* part of the spec (the server must
-//! run what was asked) but is **excluded from the cache key**: the
-//! four-engine equivalence suites guarantee engine-independent
-//! fingerprints, so a `Lazy` request is a legitimate cache hit on a
-//! `Table` result.
+//! cache key, because the determinism suites prove the fingerprints are
+//! identical for any `--jobs`. Jobs run on the default (compiled)
+//! monitoring engine; the equivalence suites prove results
+//! engine-independent, so the spec carries no engine choice.
 
 use std::time::Duration;
 
@@ -20,7 +18,7 @@ use sctc_cpu::IsaKind;
 use sctc_smc::{run_smc_campaign, SmcMethod, SmcQuery, SmcSpec, SmcVerdict, SmcWorkload};
 use sctc_temporal::{fnv1a64, CacheWeight};
 
-use crate::protocol::encode_spec_canonical;
+use crate::protocol::encode_spec;
 
 /// A verification campaign job (PR 2 shape): response properties over
 /// constrained-random stimuli.
@@ -41,8 +39,6 @@ pub struct CampaignJob {
     pub chunk: u64,
     /// Per-case fault probability, percent.
     pub fault_percent: u32,
-    /// Monitoring engine (excluded from the cache key).
-    pub engine: EngineKind,
     /// Instruction encoding of the microprocessor flow. Part of the
     /// content key: the server must execute the encoding that was asked
     /// for, even though verdicts and fingerprints are encoding-independent.
@@ -65,8 +61,6 @@ pub struct FaultsJob {
     pub fault_percent: u32,
     /// Recovery-property bound, in samples.
     pub recovery_bound: u64,
-    /// Monitoring engine (excluded from the cache key).
-    pub engine: EngineKind,
 }
 
 /// A statistical model checking job (PR 6 shape): `P(G intact) >= θ?`.
@@ -86,8 +80,6 @@ pub struct SmcJob {
     pub max_samples: u64,
     /// Recovery-property bound, in samples.
     pub recovery_bound: u64,
-    /// Monitoring engine (excluded from the cache key).
-    pub engine: EngineKind,
 }
 
 /// A single power-loss scenario job (PR 5 shape) with the diagnosis layer
@@ -100,8 +92,6 @@ pub struct ScenarioJob {
     pub program: EswProgram,
     /// Recovery-property bound, in samples.
     pub recovery_bound: u64,
-    /// Monitoring engine (excluded from the cache key).
-    pub engine: EngineKind,
     /// Capture per-property counterexample witnesses.
     pub want_witness: bool,
     /// Capture the property-timeline VCD.
@@ -122,22 +112,11 @@ pub enum JobSpec {
 }
 
 impl JobSpec {
-    /// The content-addressed cache key: a canonical byte encoding of the
-    /// spec with the engine field normalised away. Keys are the map keys
-    /// themselves (not a hash of them), so distinct jobs can never
-    /// collide.
+    /// The content-addressed cache key: the spec's own wire encoding.
+    /// Keys are the map keys themselves (not a hash of them), so distinct
+    /// jobs can never collide.
     pub fn content_key(&self) -> Vec<u8> {
-        encode_spec_canonical(self)
-    }
-
-    /// Engine the job asks to run under.
-    pub fn engine(&self) -> EngineKind {
-        match self {
-            JobSpec::Campaign(j) => j.engine,
-            JobSpec::Faults(j) => j.engine,
-            JobSpec::Smc(j) => j.engine,
-            JobSpec::Scenario(j) => j.engine,
-        }
+        encode_spec(self)
     }
 
     /// Short kind label for metrics.
@@ -161,7 +140,6 @@ impl JobSpec {
             seed,
             chunk: 0,
             fault_percent: 10,
-            engine: EngineKind::Table,
             isa: IsaKind::Word32,
         })
     }
@@ -175,7 +153,6 @@ impl JobSpec {
             chunk: 0,
             fault_percent: 35,
             recovery_bound: 5_000,
-            engine: EngineKind::Table,
         })
     }
 
@@ -189,7 +166,6 @@ impl JobSpec {
             seed,
             max_samples: 0,
             recovery_bound: 5_000,
-            engine: EngineKind::Table,
         })
     }
 
@@ -199,7 +175,6 @@ impl JobSpec {
             flow: FlowKind::Derived,
             program,
             recovery_bound: 5_000,
-            engine: EngineKind::Table,
             want_witness: true,
             want_vcd: true,
         })
@@ -308,7 +283,6 @@ pub fn run_job(spec: &JobSpec, options: &JobOptions) -> JobOutput {
             campaign.bound = j.bound;
             campaign.chunk = j.chunk;
             campaign.fault_percent = j.fault_percent;
-            campaign.engine = j.engine;
             campaign.isa = j.isa;
             campaign.jobs = jobs;
             let report = run_campaign(&campaign);
@@ -326,7 +300,6 @@ pub fn run_job(spec: &JobSpec, options: &JobOptions) -> JobOutput {
             campaign.chunk = j.chunk;
             campaign.fault_percent = j.fault_percent;
             campaign.recovery_bound = j.recovery_bound;
-            campaign.engine = j.engine;
             campaign.jobs = jobs;
             let report = run_fault_campaign(&campaign);
             JobOutput {
@@ -349,7 +322,7 @@ pub fn run_job(spec: &JobSpec, options: &JobOptions) -> JobOutput {
                 jobs,
                 max_samples: j.max_samples,
                 recovery_bound: j.recovery_bound,
-                engine: j.engine,
+                engine: EngineKind::Compiled,
                 max_ticks: u64::MAX / 2,
                 profile: false,
             };
@@ -374,8 +347,7 @@ pub fn run_job(spec: &JobSpec, options: &JobOptions) -> JobOutput {
                     ..WitnessConfig::default()
                 }),
                 vcd: j.want_vcd,
-                profile: false,
-                engine: j.engine,
+                ..ScenarioObs::default()
             };
             let started = std::time::Instant::now();
             let (outcome, report) =

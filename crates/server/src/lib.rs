@@ -2,13 +2,12 @@
 //!
 //! A long-lived, dependency-free framed-TCP front end over the campaign,
 //! fault-injection, SMC, and scenario runners (ROADMAP item 1): clients
-//! submit `(flow, properties, seed, engine, query)` jobs and stream back
+//! submit `(flow, properties, seed, query)` jobs and stream back
 //! reports, witnesses, and VCDs. In front of the runners sits a
 //! content-addressed **result cache** ([`sctc_temporal::ResultCache`]):
-//! jobs are keyed on their canonical byte encoding (engine-normalised —
-//! the equivalence suites prove engine-independent fingerprints), repeat
-//! traffic is a cache hit instead of a re-simulation, and concurrent
-//! identical jobs coalesce into a single run (single-flight).
+//! jobs are keyed on their spec's wire encoding, repeat traffic is a
+//! cache hit instead of a re-simulation, and concurrent identical jobs
+//! coalesce into a single run (single-flight).
 //!
 //! Layers, bottom up:
 //!

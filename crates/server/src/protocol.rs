@@ -25,11 +25,12 @@
 //!
 //! All integers little-endian; strings length-prefixed UTF-8; `f64` as
 //! IEEE-754 bits. Decoders are total: any byte sequence maps to a value
-//! or a [`WireError`], never a panic.
+//! or a [`WireError`], never a panic. A spec carries content only, with
+//! no scheduling knob and (since version 3) no monitoring engine, so its
+//! bytes double as the result-cache key ([`encode_spec`]).
 
 use faults::EswProgram;
 use sctc_campaign::{CampaignFingerprint, FlowKind};
-use sctc_core::EngineKind;
 use sctc_cpu::IsaKind;
 use sctc_smc::{SmcMethod, SmcQuery, SmcVerdict, SmcWorkload};
 use sctc_temporal::Verdict;
@@ -43,8 +44,9 @@ use crate::wire::{WireError, WireReader, WireWriter};
 pub const MAGIC: u32 = 0x5343_5443;
 /// Protocol version. Bumped on any grammar change. Version 2 added the
 /// telemetry plane: trace ids on `Accepted`/`Done`, streamed `Progress`
-/// frames, and the `Telemetry` request/reply pair.
-pub const VERSION: u32 = 2;
+/// frames, and the `Telemetry` request/reply pair. Version 3 dropped the
+/// monitoring-engine byte from every job spec.
+pub const VERSION: u32 = 3;
 
 /// Server refused the job: malformed request.
 pub const ERR_BAD_REQUEST: u32 = 1;
@@ -225,28 +227,6 @@ fn get_flow(r: &mut WireReader) -> Result<FlowKind, WireError> {
         1 => Ok(FlowKind::Microprocessor),
         code => Err(WireError::BadTag {
             what: "flow kind",
-            code: u64::from(code),
-        }),
-    }
-}
-
-fn put_engine(w: &mut WireWriter, engine: EngineKind) {
-    w.u8(match engine {
-        EngineKind::Table => 0,
-        EngineKind::Naive => 1,
-        EngineKind::Lazy => 2,
-        EngineKind::Compiled => 3,
-    });
-}
-
-fn get_engine(r: &mut WireReader) -> Result<EngineKind, WireError> {
-    match r.u8()? {
-        0 => Ok(EngineKind::Table),
-        1 => Ok(EngineKind::Naive),
-        2 => Ok(EngineKind::Lazy),
-        3 => Ok(EngineKind::Compiled),
-        code => Err(WireError::BadTag {
-            what: "engine kind",
             code: u64::from(code),
         }),
     }
@@ -448,20 +428,10 @@ fn get_isa(r: &mut WireReader) -> Result<IsaKind, WireError> {
     })
 }
 
-/// Encodes a job spec. When `for_key` is set the engine byte is written as
-/// a fixed canonical value, which is what makes engine variants share a
-/// cache entry (the equivalence suites prove engine-independent results).
-/// The ISA byte is **not** normalised: results are encoding-independent,
-/// but the server must execute the encoding the client asked for, so the
-/// two encodings are distinct cache entries.
-fn put_spec(w: &mut WireWriter, spec: &JobSpec, for_key: bool) {
-    let engine_byte = |w: &mut WireWriter, engine: EngineKind| {
-        if for_key {
-            put_engine(w, EngineKind::Table);
-        } else {
-            put_engine(w, engine);
-        }
-    };
+/// Encodes a job spec. The ISA byte is content: results are
+/// encoding-independent, but the server must execute the encoding the
+/// client asked for, so the two encodings are distinct cache entries.
+fn put_spec(w: &mut WireWriter, spec: &JobSpec) {
     match spec {
         JobSpec::Campaign(j) => {
             w.u8(0);
@@ -475,7 +445,6 @@ fn put_spec(w: &mut WireWriter, spec: &JobSpec, for_key: bool) {
             w.u64(j.seed);
             w.u64(j.chunk);
             w.u32(j.fault_percent);
-            engine_byte(w, j.engine);
             put_isa(w, j.isa);
         }
         JobSpec::Faults(j) => {
@@ -486,7 +455,6 @@ fn put_spec(w: &mut WireWriter, spec: &JobSpec, for_key: bool) {
             w.u64(j.chunk);
             w.u32(j.fault_percent);
             w.u64(j.recovery_bound);
-            engine_byte(w, j.engine);
         }
         JobSpec::Smc(j) => {
             w.u8(2);
@@ -497,14 +465,12 @@ fn put_spec(w: &mut WireWriter, spec: &JobSpec, for_key: bool) {
             w.u64(j.seed);
             w.u64(j.max_samples);
             w.u64(j.recovery_bound);
-            engine_byte(w, j.engine);
         }
         JobSpec::Scenario(j) => {
             w.u8(3);
             put_flow(w, j.flow);
             put_program(w, j.program);
             w.u64(j.recovery_bound);
-            engine_byte(w, j.engine);
             w.bool(j.want_witness);
             w.bool(j.want_vcd);
         }
@@ -528,7 +494,6 @@ fn get_spec(r: &mut WireReader) -> Result<JobSpec, WireError> {
                 seed: r.u64()?,
                 chunk: r.u64()?,
                 fault_percent: r.u32()?,
-                engine: get_engine(r)?,
                 isa: get_isa(r)?,
             }))
         }
@@ -539,7 +504,6 @@ fn get_spec(r: &mut WireReader) -> Result<JobSpec, WireError> {
             chunk: r.u64()?,
             fault_percent: r.u32()?,
             recovery_bound: r.u64()?,
-            engine: get_engine(r)?,
         })),
         2 => Ok(JobSpec::Smc(SmcJob {
             flow: get_flow(r)?,
@@ -549,13 +513,11 @@ fn get_spec(r: &mut WireReader) -> Result<JobSpec, WireError> {
             seed: r.u64()?,
             max_samples: r.u64()?,
             recovery_bound: r.u64()?,
-            engine: get_engine(r)?,
         })),
         3 => Ok(JobSpec::Scenario(ScenarioJob {
             flow: get_flow(r)?,
             program: get_program(r)?,
             recovery_bound: r.u64()?,
-            engine: get_engine(r)?,
             want_witness: r.bool()?,
             want_vcd: r.bool()?,
         })),
@@ -566,11 +528,11 @@ fn get_spec(r: &mut WireReader) -> Result<JobSpec, WireError> {
     }
 }
 
-/// The canonical (engine-normalised) spec encoding — the cache key.
-pub fn encode_spec_canonical(spec: &JobSpec) -> Vec<u8> {
+/// A spec's wire encoding, exactly as a `Job` frame carries it after the
+/// options — the result-cache key.
+pub fn encode_spec(spec: &JobSpec) -> Vec<u8> {
     let mut w = WireWriter::new();
-    w.str("sctc-job/v1");
-    put_spec(&mut w, spec, true);
+    put_spec(&mut w, spec);
     w.into_bytes()
 }
 
@@ -738,7 +700,7 @@ impl Request {
             Request::Job { options, spec } => {
                 w.u64(options.deadline_ms);
                 w.u64(options.jobs as u64);
-                put_spec(&mut w, spec, false);
+                put_spec(&mut w, spec);
                 0x02
             }
             Request::Stats => 0x03,
@@ -1163,14 +1125,45 @@ mod tests {
     }
 
     #[test]
-    fn cache_key_ignores_engine_but_nothing_else() {
+    fn cache_key_is_the_spec_wire_encoding() {
         let base = JobSpec::small_campaign(40, 7);
-        let mut lazy = base.clone();
-        if let JobSpec::Campaign(j) = &mut lazy {
-            j.engine = sctc_core::EngineKind::Lazy;
+        let (_, payload) = Request::Job {
+            options: JobOptions::default(),
+            spec: base.clone(),
         }
-        assert_eq!(base.content_key(), lazy.content_key());
+        .encode();
+        // The Job payload is the 16 option bytes followed by the spec.
+        assert_eq!(payload[16..], base.content_key()[..]);
+    }
 
+    #[test]
+    fn job_specs_carry_no_engine_byte() {
+        let ops = eee::Op::ALL.len();
+        for (spec, len) in [
+            // kind, flow, ops (count + one byte each), bound flag + u64,
+            // cases, seed, chunk, fault percent, isa.
+            (
+                JobSpec::small_campaign(40, 7),
+                1 + 1 + 4 + ops + 9 + 24 + 4 + 1,
+            ),
+            // kind, flow, cases, seed, chunk, fault percent, recovery bound.
+            (JobSpec::small_faults(24, 9), 1 + 1 + 24 + 4 + 8),
+            // kind, flow, workload tag + rate, query, method, seed,
+            // sample cap, recovery bound.
+            (JobSpec::planted_smc(20, 11), 1 + 1 + 5 + 32 + 1 + 24),
+            // kind, flow, program, recovery bound, witness and vcd flags.
+            (
+                JobSpec::observed_scenario(EswProgram::Healthy),
+                1 + 1 + 1 + 8 + 1 + 1,
+            ),
+        ] {
+            assert_eq!(spec.content_key().len(), len, "{spec:?}");
+        }
+    }
+
+    #[test]
+    fn cache_key_separates_every_content_field() {
+        let base = JobSpec::small_campaign(40, 7);
         let mut reseeded = base.clone();
         if let JobSpec::Campaign(j) = &mut reseeded {
             j.seed += 1;

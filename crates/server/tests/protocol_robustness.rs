@@ -122,6 +122,50 @@ fn garbage_bytes_are_refused_cleanly() {
 }
 
 #[test]
+fn version_2_hello_gets_a_typed_error_and_the_server_keeps_serving() {
+    let mut server = spawn(ServerConfig::default()).unwrap();
+    // A version-2 client (whose job specs still carry an engine byte) is
+    // refused at the handshake, before it can send a job.
+    let mut stream = raw_connect(server.addr());
+    let (tag, payload) = Request::Hello {
+        magic: MAGIC,
+        version: 2,
+    }
+    .encode();
+    stream.write_all(&encode_frame(tag, &payload)).unwrap();
+    let replies = drain_replies(&mut stream);
+    assert_eq!(
+        replies,
+        vec![Reply::Error {
+            code: ERR_BAD_REQUEST,
+            message: "handshake magic/version mismatch".to_owned(),
+        }],
+        "a stale protocol version earns exactly one typed error"
+    );
+
+    // Other clients are served normally, before and after the refusal.
+    let mut client = Client::connect(server.addr()).unwrap();
+    let outcome = client
+        .submit(&JobSpec::small_campaign(5, 79), &JobOptions::default())
+        .unwrap();
+    assert!(matches!(outcome, sctc_server::JobOutcome::Done { .. }));
+    let mut stale = raw_connect(server.addr());
+    stale.write_all(&encode_frame(tag, &payload)).unwrap();
+    assert!(matches!(
+        drain_replies(&mut stale)[..],
+        [Reply::Error {
+            code: ERR_BAD_REQUEST,
+            ..
+        }]
+    ));
+    let outcome = client
+        .submit(&JobSpec::small_campaign(5, 80), &JobOptions::default())
+        .unwrap();
+    assert!(matches!(outcome, sctc_server::JobOutcome::Done { .. }));
+    server.shutdown();
+}
+
+#[test]
 fn mid_stream_disconnect_leaves_the_server_serving() {
     let mut server = spawn(ServerConfig::default()).unwrap();
     // Disconnect at every interesting cut point of a valid exchange.

@@ -175,7 +175,7 @@ impl SmcSpec {
             jobs: 0,
             max_samples: 0,
             recovery_bound: default_recovery_bound(flow),
-            engine: EngineKind::Table,
+            engine: EngineKind::Compiled,
             max_ticks: u64::MAX / 2,
             profile: false,
         }

@@ -1,13 +1,13 @@
-//! Engine-equivalence under statistical sampling: the change-driven table
-//! engine, the naive reference stepper and lazy formula progression must
-//! grade every sample identically — same verdicts, same decision point,
-//! same report fingerprint.
+//! Engine-equivalence under statistical sampling: the change-driven
+//! compiled engine and the naive reference stepper must grade every
+//! sample identically — same verdicts, same decision point, same report
+//! fingerprint.
 
 use sctc_campaign::FlowKind;
 use sctc_core::EngineKind;
 use sctc_smc::{run_smc_campaign, SmcQuery, SmcSpec};
 
-const ENGINES: [EngineKind; 3] = [EngineKind::Table, EngineKind::Naive, EngineKind::Lazy];
+const ENGINES: [EngineKind; 2] = [EngineKind::Compiled, EngineKind::Naive];
 
 #[test]
 fn planted_campaign_fingerprint_is_engine_independent() {
@@ -31,10 +31,9 @@ fn planted_campaign_fingerprint_is_engine_independent() {
 
 #[test]
 fn faults_campaign_fingerprint_is_engine_independent() {
-    // Random fault sessions (bit flips, stuck-ats, power cuts) under all
-    // three engines: the lazy progression engine sees exactly the same
-    // fault-perturbed traces as the table engines and must agree sample
-    // by sample.
+    // Random fault sessions (bit flips, stuck-ats, power cuts) under both
+    // engines: the naive stepper sees exactly the same fault-perturbed
+    // traces as the change-driven engine and must agree sample by sample.
     let reports: Vec<_> = ENGINES
         .iter()
         .map(|&engine| {

@@ -11,10 +11,12 @@
 //! The cache key is the **canonical IL form** of the formula: formulas are
 //! interned into the hash-consed [`IlStore`] and rendered from the root
 //! node, so spelling variants that normalise to the same IL node (e.g.
-//! `eventually! p` and `F p`) share one automaton. Cached automata are
-//! immutable and handed out as [`Arc`]s; [`TableMonitor`] instances step
-//! them without copying the transition table.
+//! `eventually! p` and `F p`) share one automaton. Cached automata and
+//! their compiled kernels are immutable and handed out as [`Arc`]s;
+//! [`CompiledMonitor`] and [`TableMonitor`] instances step them without
+//! copying the tables.
 //!
+//! [`CompiledMonitor`]: crate::CompiledMonitor
 //! [`TableMonitor`]: crate::TableMonitor
 //!
 //! # Examples
@@ -72,21 +74,19 @@ pub struct CacheStats {
     /// (synthesis of the source automaton is counted in
     /// [`CacheStats::synthesis_wall`]).
     pub compiled_build_wall: Duration,
-    /// Wall-clock time cached automata spent lazily building (and
-    /// querying) their binary-lifting stutter tables — cost the eager
-    /// builder used to pay per level, for every state, up front.
-    pub stutter_build_wall: Duration,
 }
 
 impl CacheStats {
-    /// Fraction of lookups served from the cache, in `[0, 1]`
-    /// (`0` before the first lookup).
+    /// Fraction of lookups answered without synthesizing, in `[0, 1]`
+    /// (`0` before the first lookup). A compiled-kernel miss makes one
+    /// automaton lookup of its own, so the lookups are the automaton
+    /// lookups plus the compiled-kernel hits.
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
+        let total = self.hits + self.misses + self.compiled_hits;
         if total == 0 {
             0.0
         } else {
-            self.hits as f64 / total as f64
+            (total - self.misses) as f64 / total as f64
         }
     }
 
@@ -104,9 +104,6 @@ impl CacheStats {
             compiled_build_wall: self
                 .compiled_build_wall
                 .saturating_sub(earlier.compiled_build_wall),
-            stutter_build_wall: self
-                .stutter_build_wall
-                .saturating_sub(earlier.stutter_build_wall),
         }
     }
 }
@@ -197,7 +194,6 @@ impl SynthesisCache {
             inner.compiled_hits += 1;
             return Ok(cached);
         }
-        inner.compiled_misses += 1;
         let automaton = match inner.entries.get(&key).cloned() {
             Some(automaton) => {
                 inner.hits += 1;
@@ -215,6 +211,7 @@ impl SynthesisCache {
         let t0 = Instant::now();
         let kernel = Arc::new(CompiledKernel::lower(&automaton));
         inner.compiled_build_wall += t0.elapsed();
+        inner.compiled_misses += 1;
         inner.compiled.insert(key, kernel.clone());
         Ok(kernel)
     }
@@ -230,11 +227,6 @@ impl SynthesisCache {
             compiled_hits: inner.compiled_hits,
             compiled_misses: inner.compiled_misses,
             compiled_build_wall: inner.compiled_build_wall,
-            stutter_build_wall: inner
-                .entries
-                .values()
-                .map(|a| a.stutter_build_wall())
-                .sum(),
         }
     }
 
@@ -625,7 +617,12 @@ mod tests {
         let f = parse(&text).unwrap();
         assert!(cache.synthesize(&f).is_err());
         assert!(cache.synthesize(&f).is_err());
-        assert_eq!(cache.stats().entries, 0);
+        assert!(cache.synthesize_compiled(&f).is_err());
+        assert_eq!(
+            cache.stats(),
+            CacheStats::default(),
+            "a refusal counts nothing"
+        );
     }
 
     #[test]
@@ -659,8 +656,9 @@ mod tests {
         assert!(Arc::ptr_eq(&first, &again));
         let stats = cache.stats();
         assert_eq!((stats.compiled_hits, stats.compiled_misses), (1, 1));
+        assert_eq!(stats.hit_rate(), 0.5, "one synthesis in two lookups");
         // The lowering synthesized the automaton once, through the shared
-        // entry map — a later table-engine registration is a plain hit.
+        // entry map — a later naive-engine registration is a plain hit.
         assert_eq!((stats.hits, stats.misses), (0, 1));
         cache.synthesize(&f).unwrap();
         assert_eq!(cache.stats().hits, 1);

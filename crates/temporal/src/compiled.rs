@@ -1,10 +1,9 @@
 //! Compiled AR kernels: the raw-speed stepping tier.
 //!
-//! [`ArAutomaton`] already stores a dense transition table, but its stepping
-//! interface pays interpretive costs per observation: a `Verdict` enum load
-//! per step, and a `Mutex`-guarded binary-lifting walk per stutter flush.
-//! [`CompiledKernel::lower`] precomputes everything those walks derive at
-//! run time, once, at synthesis time:
+//! [`ArAutomaton`] already stores a dense transition table, but stepping it
+//! pays a `Verdict` enum load per step, and a stutter run of `n` identical
+//! valuations would take `n` steps. [`CompiledKernel::lower`] precomputes
+//! what those runs derive, once, at synthesis time:
 //!
 //! * **jump array** — `next[state * columns + valuation]`, copied verbatim
 //!   from the automaton so state numbering (and therefore witness state
@@ -306,9 +305,12 @@ impl CompiledMonitor {
     /// Fused stutter-run kernel: consumes `n` identical-valuation steps —
     /// behaviourally identical to `n` calls of [`TraceMonitor::step`],
     /// including the recorded decision index, but O(1) in the deciding and
-    /// self-looping cases via the precomputed run table. Like
-    /// [`TableMonitor::step_many`](crate::TableMonitor::step_many), a run
-    /// that decides at offset `d <= n` advances the step count by `d`.
+    /// self-looping cases via the precomputed run table.
+    ///
+    /// The naive sampling loop stops stepping a monitor once it decides
+    /// (its step count freezes at the decision); `step_run` reproduces
+    /// that exactly: a run that decides at offset `d <= n` advances the
+    /// step count by `d`, not `n`.
     pub fn step_run(&mut self, valuation: Valuation, n: u64) -> Verdict {
         let v = valuation as usize;
         debug_assert!(v < self.kernel.columns, "valuation has unknown bits");
@@ -428,8 +430,27 @@ mod tests {
         }
     }
 
+    /// Reference semantics for [`CompiledMonitor::step_run`]: up to `n`
+    /// single steps from `state`, stopping at the first decided state
+    /// (as the sampling loop stops stepping a decided check). Returns the
+    /// final state, the steps taken and the 1-based decision offset.
+    fn repeated_steps(
+        aut: &ArAutomaton,
+        mut state: u32,
+        v: u64,
+        n: u64,
+    ) -> (u32, u64, Option<u64>) {
+        let mut steps = 0;
+        while steps < n && !aut.verdict(state).is_decided() {
+            state = aut.step(state, v);
+            steps += 1;
+        }
+        let decided = aut.verdict(state).is_decided() && steps > 0;
+        (state, steps, decided.then_some(steps))
+    }
+
     #[test]
-    fn step_run_matches_table_step_many_on_all_cells() {
+    fn step_run_matches_repeated_steps_on_all_states_and_valuations() {
         for text in [
             "G (a -> F[<=7] b)",
             "F[<=9] p",
@@ -442,67 +463,22 @@ mod tests {
             for state in 0..automaton.state_count() as u32 {
                 for v in 0..columns {
                     for n in [0u64, 1, 2, 3, 5, 8, 13, 100, 10_000] {
-                        let mut table = TableMonitor::from_shared(Arc::new(automaton.clone()));
+                        // Teleport the monitor to the probed state: state
+                        // ids are the automaton's own.
                         let mut compiled = CompiledMonitor::from_shared(kernel.clone());
-                        // Teleport both monitors to the probed state.
-                        table_force_state(&mut table, &automaton, state, v);
                         compiled.state = state;
-                        compiled.steps = table.steps();
-                        compiled.decided_at = table.decided_at();
-                        let tv = table.step_many(v, n);
-                        let cv = compiled.step_run(v, n);
-                        assert_eq!(tv, cv, "{text} state {state} v {v:#b} n {n}");
-                        assert_eq!(table.state(), compiled.state, "{text} s{state} v{v} n{n}");
-                        assert_eq!(table.steps(), compiled.steps, "{text} s{state} v{v} n{n}");
-                        assert_eq!(
-                            table.decided_at(),
-                            compiled.decided_at,
-                            "{text} s{state} v{v} n{n}"
-                        );
+                        let verdict = compiled.step_run(v, n);
+                        let (want_state, want_steps, want_decided) =
+                            repeated_steps(&automaton, state, v, n);
+                        let at = format!("{text} state {state} v {v:#b} n {n}");
+                        assert_eq!(compiled.state, want_state, "{at}");
+                        assert_eq!(verdict, automaton.verdict(want_state), "{at}");
+                        assert_eq!(compiled.steps, want_steps, "{at}");
+                        assert_eq!(compiled.decided_at, want_decided, "{at}");
                     }
                 }
             }
         }
-    }
-
-    /// Drives a table monitor into `state` without assuming reachability
-    /// structure: directly comparable because both engines share state ids.
-    fn table_force_state(table: &mut TableMonitor, automaton: &ArAutomaton, state: u32, _v: u64) {
-        // TableMonitor has no state setter; emulate by replaying: walk a
-        // BFS path from the initial state. Synthesis numbers states in
-        // first-reached order, so a path always exists.
-        if state == ArAutomaton::INITIAL {
-            return;
-        }
-        let columns = 1u64 << automaton.props().len();
-        // BFS over (state), recording one predecessor step.
-        let mut prev: Vec<Option<(u32, u64)>> = vec![None; automaton.state_count()];
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back(ArAutomaton::INITIAL);
-        prev[ArAutomaton::INITIAL as usize] = Some((ArAutomaton::INITIAL, u64::MAX));
-        while let Some(s) = queue.pop_front() {
-            if s == state {
-                break;
-            }
-            for v in 0..columns {
-                let nx = automaton.step(s, v);
-                if prev[nx as usize].is_none() {
-                    prev[nx as usize] = Some((s, v));
-                    queue.push_back(nx);
-                }
-            }
-        }
-        let mut path = Vec::new();
-        let mut cur = state;
-        while cur != ArAutomaton::INITIAL {
-            let (p, v) = prev[cur as usize].expect("state reachable");
-            path.push(v);
-            cur = p;
-        }
-        for &v in path.iter().rev() {
-            table.step(v);
-        }
-        assert_eq!(table.state(), state);
     }
 
     #[test]
@@ -517,7 +493,12 @@ mod tests {
         // Idle run exercises high-column self-loop bits (valuation 127 is
         // in the second packed word).
         for v in [0u64, 127, 64, 65, 0] {
-            assert_eq!(table.step_many(v, 3), wide.step_run(v, 3));
+            for _ in 0..3 {
+                if !table.verdict().is_decided() {
+                    table.step(v);
+                }
+            }
+            assert_eq!(table.verdict(), wide.step_run(v, 3));
             assert_eq!(table.state(), wide.state());
         }
         assert_eq!(table.decided_at(), wide.decided_at());

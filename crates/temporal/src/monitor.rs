@@ -1,13 +1,16 @@
 //! Runtime monitors: the executable form of a property.
 //!
-//! Two engines share the [`TraceMonitor`] interface:
+//! Two monitors share the [`TraceMonitor`] interface:
 //!
 //! * [`Monitor`] progresses the IL formula lazily — no synthesis cost, state
-//!   grows on demand;
+//!   grows on demand; the checker falls back to it for formulas synthesis
+//!   refuses;
 //! * [`TableMonitor`] steps an explicitly synthesized [`ArAutomaton`] — all
 //!   cost paid at generation time, O(1) steps.
 //!
 //! Both latch their verdict: once decided, further steps cannot change it.
+//! The change-driven checker steps the compiled form of the automaton,
+//! [`CompiledMonitor`](crate::CompiledMonitor).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -64,9 +67,9 @@ pub struct Monitor {
     decided_at: Option<u64>,
     /// Progression memo: `(node, valuation) -> progressed node`. Sound
     /// because IL nodes are hash-consed (a `NodeId` names one immutable
-    /// term forever), so a repeated valuation — the stutter case the
-    /// change-driven pipeline feeds this engine — progresses in O(1)
-    /// instead of re-walking the formula DAG.
+    /// term forever), so a repeated valuation — the common case on a
+    /// sampled trace — progresses in O(1) instead of re-walking the
+    /// formula DAG.
     memo: HashMap<(NodeId, Valuation), NodeId>,
     /// Scratch memo for a single progression call (cleared, not
     /// reallocated, per step).
@@ -107,34 +110,6 @@ impl Monitor {
         let next = progress_with(&mut self.store, self.current, valuation, &mut self.scratch);
         self.memo.insert((self.current, valuation), next);
         next
-    }
-
-    /// Consumes `n` identical-valuation observation steps at once —
-    /// behaviourally identical to `n` calls of [`TraceMonitor::step`],
-    /// including the recorded decision index (a run that decides at offset
-    /// `d <= n` advances the step count by `d`, matching
-    /// [`TableMonitor::step_many`]). An undecided progression fixpoint
-    /// (the common stutter case) short-circuits the remaining steps.
-    pub fn step_many(&mut self, valuation: Valuation, n: u64) -> Verdict {
-        if n == 0 || self.verdict().is_decided() {
-            return self.verdict();
-        }
-        for i in 1..=n {
-            let next = self.progress_current(valuation);
-            if next == self.current {
-                // Undecided fixpoint: further identical steps stay put.
-                self.steps += n;
-                return Verdict::Pending;
-            }
-            self.current = next;
-            if self.verdict().is_decided() {
-                self.steps += i;
-                self.decided_at = Some(self.steps);
-                return self.verdict();
-            }
-        }
-        self.steps += n;
-        Verdict::Pending
     }
 }
 
@@ -250,33 +225,6 @@ impl TableMonitor {
         self.steps = 0;
         self.decided_at = None;
     }
-
-    /// Consumes `n` identical-valuation observation steps at once —
-    /// behaviourally identical to `n` calls of
-    /// [`TraceMonitor::step`], including the recorded decision index, but
-    /// O(log n) through [`ArAutomaton::step_many_with_decision`].
-    ///
-    /// The naive sampling loop stops stepping a monitor once it decides
-    /// (its step count freezes at the decision); `step_many` reproduces
-    /// that exactly: a run that decides at offset `d <= n` advances the
-    /// step count by `d`, not `n`.
-    pub fn step_many(&mut self, valuation: Valuation, n: u64) -> Verdict {
-        if n == 0 || self.verdict().is_decided() {
-            return self.verdict();
-        }
-        let (state, decided_after) = self
-            .automaton
-            .step_many_with_decision(self.state, valuation, n);
-        self.state = state;
-        match decided_after {
-            Some(d) => {
-                self.steps += d;
-                self.decided_at = Some(self.steps);
-            }
-            None => self.steps += n,
-        }
-        self.verdict()
-    }
 }
 
 impl TraceMonitor for TableMonitor {
@@ -355,64 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn step_many_matches_single_steps_including_decision_index() {
-        let f = parse("G (a -> F[<=6] b)").unwrap();
-        for (prefix, v, n) in [
-            (vec![0b01u64], 0b00u64, 10u64), // trigger, then starve → False at offset 6
-            (vec![0b01], 0b00, 3),           // starve but stay pending
-            (vec![], 0b00, 50),              // idle self-loop
-            (vec![0b01], 0b10, 4),           // immediate discharge
-        ] {
-            let mut single = TableMonitor::new(&f).unwrap();
-            let mut batched = TableMonitor::new(&f).unwrap();
-            for &p in &prefix {
-                single.step(p);
-                batched.step(p);
-            }
-            let mut last = single.verdict();
-            for _ in 0..n {
-                if last.is_decided() {
-                    break; // the sampling loop stops stepping decided monitors
-                }
-                last = single.step(v);
-            }
-            batched.step_many(v, n);
-            assert_eq!(batched.verdict(), single.verdict());
-            assert_eq!(batched.steps(), single.steps());
-            assert_eq!(batched.decided_at(), single.decided_at());
-        }
-    }
-
-    #[test]
-    fn lazy_step_many_matches_single_steps_including_decision_index() {
-        let f = parse("G (a -> F[<=6] b)").unwrap();
-        for (prefix, v, n) in [
-            (vec![0b01u64], 0b00u64, 10u64), // trigger, then starve → False at offset 6
-            (vec![0b01], 0b00, 3),           // starve but stay pending
-            (vec![], 0b00, 50),              // idle progression fixpoint
-            (vec![0b01], 0b10, 4),           // immediate discharge
-        ] {
-            let mut single = Monitor::new(&f).unwrap();
-            let mut batched = Monitor::new(&f).unwrap();
-            for &p in &prefix {
-                single.step(p);
-                batched.step(p);
-            }
-            let mut last = single.verdict();
-            for _ in 0..n {
-                if last.is_decided() {
-                    break;
-                }
-                last = single.step(v);
-            }
-            batched.step_many(v, n);
-            assert_eq!(batched.verdict(), single.verdict());
-            assert_eq!(batched.steps(), single.steps());
-            assert_eq!(batched.decided_at(), single.decided_at());
-        }
-    }
-
-    #[test]
     fn lazy_memo_survives_reset_and_stays_correct() {
         let f = parse("F[<=40] p").unwrap();
         let mut m = Monitor::new(&f).unwrap();
@@ -423,7 +313,10 @@ mod tests {
         TraceMonitor::reset(&mut m);
         // The second run is answered from the (node, valuation) memo and
         // must land on the identical verdict and decision index.
-        assert_eq!(m.step_many(0b0, 100), Verdict::False);
+        for _ in 0..41 {
+            m.step(0b0);
+        }
+        assert_eq!(m.verdict(), Verdict::False);
         assert_eq!(m.decided_at(), Some(41));
     }
 

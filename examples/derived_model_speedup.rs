@@ -20,7 +20,7 @@ fn main() {
         cases: 15,
         bound: None,
         fault_percent: 10,
-        engine: EngineKind::Table,
+        engine: EngineKind::Compiled,
         isa: IsaKind::Word32,
         max_ticks: u64::MAX / 2,
         profile: false,

@@ -18,7 +18,7 @@ fn main() {
         cases: 60,
         bound: Some(1000),
         fault_percent: 10,
-        engine: EngineKind::Table,
+        engine: EngineKind::Compiled,
         isa: IsaKind::Word32,
         max_ticks: u64::MAX / 2,
         profile: false,

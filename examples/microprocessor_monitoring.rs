@@ -53,13 +53,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "lamp_eventually_on",
         &parse("F[<=40] lamp_on")?,
         vec![mem::word_eq("lamp_on", soc.clone(), 0x104, 1)],
-        EngineKind::Table,
+        EngineKind::Compiled,
     )?;
     sctc.add_property(
         "six_blinks",
         &parse("F[<=200] done_blinking")?,
         vec![mem::word_eq("done_blinking", soc.clone(), 0x108, 6)],
-        EngineKind::Table,
+        EngineKind::Compiled,
     )?;
     let sctc = share_sctc(sctc);
 

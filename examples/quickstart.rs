@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             esw::global_eq("cranking", h.clone(), "status", 1),
             esw::global_in("settled", h.clone(), "status", vec![2, 3]),
         ],
-        EngineKind::Table,
+        EngineKind::Compiled,
     )?;
     // The engine never runs without the ignition being on.
     flow.add_property(
@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             esw::global_eq("running", h.clone(), "status", 2),
             esw::global_eq("key_on", h.clone(), "ignition", 1),
         ],
-        EngineKind::Table,
+        EngineKind::Compiled,
     )?;
 
     // Drive one scenario: key turned.

@@ -49,7 +49,7 @@
 //!         esw::global_eq("armed", h.clone(), "mode", 1),
 //!         esw::global_eq("active", h.clone(), "mode", 2),
 //!     ],
-//!     EngineKind::Table,
+//!     EngineKind::Compiled,
 //! ).unwrap();
 //! let report = flow.run(Box::new(SingleRun::new()), 100_000).unwrap();
 //! assert_eq!(report.properties[0].verdict, Verdict::True);

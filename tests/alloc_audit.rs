@@ -1,11 +1,11 @@
-//! Steady-state allocation audit for the change-driven monitoring engines.
+//! Steady-state allocation audit for both monitoring engines.
 //!
 //! A counting `#[global_allocator]` proves that once a checker is warm —
-//! stutter-table levels filled, lazy-progression memo populated, compiled
-//! kernels lowered — `Sctc::sample()` performs **zero heap allocations**,
-//! clean and dirty samples alike. That is the contract that lets the
-//! monitor ride inside a simulation hot loop without disturbing the model
-//! it observes.
+//! compiled kernels lowered, atom table built — `Sctc::sample()` performs
+//! **zero heap allocations**, clean and dirty samples alike, on the
+//! change-driven engine and on the naive reference. That is the contract
+//! that lets the monitor ride inside a simulation hot loop without
+//! disturbing the model it observes.
 //!
 //! The counter is thread-local and gated by an explicit flag, so parallel
 //! test threads (and the libtest harness itself) cannot pollute the
@@ -126,7 +126,7 @@ fn warm_driven_engines_sample_without_allocating() {
     // (dirty flushes, stutter compression) rather than a latched verdict.
     let f = parse("G (p0 -> F[<=4] p1)").expect("property parses");
 
-    for engine in [EngineKind::Table, EngineKind::Compiled, EngineKind::Lazy] {
+    for engine in [EngineKind::Compiled, EngineKind::Naive] {
         let model = fresh_model();
         let props: Vec<Box<dyn Proposition>> = vec![
             esw::global_nonzero("p0", model.clone(), "g0"),

@@ -121,7 +121,7 @@ fn stuck_state_machine_violates_bounded_response() {
         "Read",
         &response_property(Op::Read, Some(1000)),
         bind_derived(Op::Read, &h),
-        EngineKind::Table,
+        EngineKind::Compiled,
     )
     .expect("property binds");
     // Read of id 9 (not written) hits the buggy abort path and spins; cap
@@ -218,7 +218,7 @@ fn healthy_software_passes_the_same_checks() {
         "Read",
         &response_property(Op::Read, Some(1000)),
         bind_derived(Op::Read, &h),
-        EngineKind::Table,
+        EngineKind::Compiled,
     )
     .expect("property binds");
     let report = flow
@@ -374,7 +374,7 @@ fn run_matrix_derived(ir: Rc<esw_verify::c::ir::IrProgram>) -> Detection {
             &op.to_string(),
             &response_property(op, Some(1000)),
             bind_derived(op, &h),
-            EngineKind::Table,
+            EngineKind::Compiled,
         )
         .expect("property binds");
     }
@@ -429,7 +429,7 @@ fn run_matrix_micro(ir: Rc<esw_verify::c::ir::IrProgram>) -> Detection {
             &op.to_string(),
             &response_property(op, Some(20_000)),
             props,
-            EngineKind::Table,
+            EngineKind::Compiled,
         )
         .expect("property binds");
     }

@@ -99,7 +99,7 @@ fn bind_props(interp: &SharedInterp) -> Vec<Box<dyn Proposition>> {
 
 /// Replaying a witness against a fresh AR-automaton must reproduce the
 /// captured verdict at the captured sample index, for witnesses captured
-/// from every engine (table state, naive stepping, lazy progression).
+/// from both engines (compiled state, naive stepping).
 #[test]
 fn captured_witnesses_replay_to_the_same_decision() {
     Checker::new("captured_witnesses_replay_to_the_same_decision")
@@ -107,7 +107,7 @@ fn captured_witnesses_replay_to_the_same_decision() {
         .run(
             |src| (gen_formula(src, MAX_DEPTH), gen_trace(src)),
             |(f, script)| {
-                let engines = [EngineKind::Table, EngineKind::Naive, EngineKind::Lazy];
+                let engines = [EngineKind::Compiled, EngineKind::Naive];
                 for engine in engines {
                     let model = fresh_model();
                     let mut sctc = Sctc::new();

@@ -4,17 +4,19 @@
 //! dirty/clean traces driven through *real model writes* — minic interpreter
 //! globals with registered write-path watches — so the change-driven engine
 //! exercises its whole stack: atom interning, dirty tracking, and stutter
-//! compression. Four full [`Sctc`] checkers (change-driven `Table`, `Naive`
-//! re-evaluation, memoized `Lazy` progression, and the `Compiled` kernel
-//! tier) must agree on the verdict **and** on the sample index the verdict
-//! was reached at, and the verdict must match an independent brute-force
-//! reading of the bounded-FLTL trace semantics.
+//! compression. Two full [`Sctc`] checkers (the change-driven `Compiled`
+//! kernel and `Naive` re-evaluation) must agree on the verdict **and** on
+//! the sample index the verdict was reached at, and the verdict must match
+//! an independent brute-force reading of the bounded-FLTL trace semantics.
 //!
 //! A second property drives a checker that takes the O(1) clean-sample
 //! path beside a witness-capturing twin that keeps the per-sample path,
 //! through mid-run registrations, resets, queries and model
 //! invalidations; results and `MonitorCounters` must match the twin's and
 //! every decision must match brute-force `eval`.
+//!
+//! A formula synthesis refuses must still register under both engines and
+//! decide where `eval` says, on formula progression.
 //!
 //! The testkit harness shrinks any diverging (formula, trace) pair.
 
@@ -152,12 +154,7 @@ fn engines_agree_with_brute_force_on_dirty_clean_traces() {
             |(f, script)| {
                 // One model + checker per engine so each engine's watch
                 // hooks observe exactly the same write sequence.
-                let engines = [
-                    EngineKind::Table,
-                    EngineKind::Naive,
-                    EngineKind::Lazy,
-                    EngineKind::Compiled,
-                ];
+                let engines = [EngineKind::Compiled, EngineKind::Naive];
                 let models: Vec<SharedInterp> = engines.iter().map(|_| fresh_model()).collect();
                 let mut checkers: Vec<Sctc> = engines
                     .iter()
@@ -223,13 +220,12 @@ fn engines_agree_with_brute_force_on_dirty_clean_traces() {
 }
 
 #[test]
-fn lazy_and_compiled_engines_agree_under_fault_injection_and_smc_sampling() {
+fn compiled_and_naive_engines_agree_under_fault_injection_and_smc_sampling() {
     // Synthetic traces above prove the engines equivalent in vitro; this
-    // drives the lazy progression and compiled kernel engines through the
-    // *real* fault stack — bit flips, stuck-ats, power cuts tearing the
-    // ESW down mid-operation — and through a statistical campaign, and
-    // demands bit-identical matrices and reports against the change-driven
-    // default.
+    // drives the naive reference through the *real* fault stack — bit
+    // flips, stuck-ats, power cuts tearing the ESW down mid-operation —
+    // and through a statistical campaign, and demands bit-identical
+    // matrices and reports against the change-driven default.
     use esw_verify::faults::{run_fault_campaign, FaultCampaignSpec};
     use esw_verify::smc::{run_smc_campaign, SmcSpec};
     use sctc_campaign::FlowKind;
@@ -238,30 +234,26 @@ fn lazy_and_compiled_engines_agree_under_fault_injection_and_smc_sampling() {
         .with_chunk(8)
         .with_fault_percent(50)
         .with_jobs(2);
-    let table = run_fault_campaign(&campaign);
+    let compiled = run_fault_campaign(&campaign);
     assert!(
-        table.matrix.records.iter().any(|r| r.fired),
+        compiled.matrix.records.iter().any(|r| r.fired),
         "the campaign must actually inject faults for the probe to bite"
     );
-    for engine in [EngineKind::Lazy, EngineKind::Compiled] {
-        let other = run_fault_campaign(&campaign.clone().with_engine(engine));
-        assert_eq!(
-            table.matrix.fingerprint(),
-            other.matrix.fingerprint(),
-            "{engine:?} fault matrix diverges from Table"
-        );
-    }
+    let naive = run_fault_campaign(&campaign.clone().with_engine(EngineKind::Naive));
+    assert_eq!(
+        compiled.matrix.fingerprint(),
+        naive.matrix.fingerprint(),
+        "Naive fault matrix diverges from Compiled"
+    );
 
     let smc = SmcSpec::planted_torn(FlowKind::Derived, 200, 2008)
         .with_max_samples(60)
         .with_jobs(2);
-    let table = run_smc_campaign(&smc);
-    for engine in [EngineKind::Lazy, EngineKind::Compiled] {
-        let other = run_smc_campaign(&smc.with_engine(engine));
-        assert_eq!(table.verdict, other.verdict, "{engine:?} verdict");
-        assert_eq!(table.samples, other.samples, "{engine:?} samples");
-        assert_eq!(table.fingerprint(), other.fingerprint(), "{engine:?}");
-    }
+    let compiled = run_smc_campaign(&smc);
+    let naive = run_smc_campaign(&smc.with_engine(EngineKind::Naive));
+    assert_eq!(compiled.verdict, naive.verdict, "Naive verdict");
+    assert_eq!(compiled.samples, naive.samples, "Naive samples");
+    assert_eq!(compiled.fingerprint(), naive.fingerprint(), "Naive");
 }
 
 #[test]
@@ -325,12 +317,7 @@ fn reused_checkers_stay_equivalent_across_reset() {
         .run(
             |src| (gen_formula(src, MAX_DEPTH), gen_trace(src)),
             |(f, script)| {
-                let engines = [
-                    EngineKind::Table,
-                    EngineKind::Naive,
-                    EngineKind::Lazy,
-                    EngineKind::Compiled,
-                ];
+                let engines = [EngineKind::Compiled, EngineKind::Naive];
                 let models: Vec<SharedInterp> = engines.iter().map(|_| fresh_model()).collect();
                 let mut checkers: Vec<Sctc> = engines
                     .iter()
@@ -388,7 +375,7 @@ fn reused_checkers_stay_equivalent_across_reset() {
                 for (engine, pair) in engines.iter().zip(&second).skip(1) {
                     assert_eq!(
                         *pair, second[0],
-                        "{engine:?} diverges from Table after reset for {f}"
+                        "{engine:?} diverges from Compiled after reset for {f}"
                     );
                 }
             },
@@ -398,8 +385,8 @@ fn reused_checkers_stay_equivalent_across_reset() {
 #[test]
 fn wide_formula_exercises_the_packed_compiled_fallback() {
     // 7 atoms → 128 transition columns → the compiled kernel's self-loop
-    // flags span two packed u64 words per state. All four engines must
-    // agree over real model writes that toggle the high-bit atoms.
+    // flags span two packed u64 words per state. Both engines must agree
+    // over real model writes that toggle the high-bit atoms.
     let nprops = 7usize;
     let src = (0..nprops)
         .map(|i| format!("int g{i} = 0; "))
@@ -409,12 +396,7 @@ fn wide_formula_exercises_the_packed_compiled_fallback() {
     let text = "G (p0 -> F[<=6] (p1 | p2 | p3 | p4 | p5 | p6))";
     let f = sctc_temporal::parse(text).expect("wide formula parses");
 
-    let engines = [
-        EngineKind::Table,
-        EngineKind::Naive,
-        EngineKind::Lazy,
-        EngineKind::Compiled,
-    ];
+    let engines = [EngineKind::Compiled, EngineKind::Naive];
     let models: Vec<SharedInterp> = engines
         .iter()
         .map(|_| share_interp(Interp::with_virtual_memory(ir.clone())))
@@ -461,6 +443,101 @@ fn wide_formula_exercises_the_packed_compiled_fallback() {
     }
 }
 
+/// Where a progression-monitored property decides, by brute force: the
+/// shortest prefix of `trace` whose every tried continuation gives `eval`
+/// the same answer, as `(verdict, prefix length)`. The continuations hold
+/// one valuation for `pad` samples: all false, all true, and `p0` alone,
+/// which between them can still flip any pending obligation of the
+/// fallback test's formula.
+fn decision_by_eval(f: &Formula, trace: &[u64], nprops: usize, pad: usize) -> (bool, usize) {
+    let bit = |name: &str| name[1..].parse::<u32>().expect("p<i> names");
+    let all = (1u64 << nprops) - 1;
+    for d in 0..=trace.len() {
+        let verdicts: Vec<bool> = [0, all, 1]
+            .iter()
+            .map(|&filler| {
+                let mut t = trace[..d].to_vec();
+                t.resize(d + pad, filler);
+                eval_at(f, &t, 0, &bit)
+            })
+            .collect();
+        if verdicts.iter().all(|&v| v == verdicts[0]) {
+            return (verdicts[0], d);
+        }
+    }
+    panic!("{f} undecided after {} samples", trace.len());
+}
+
+#[test]
+fn refused_synthesis_falls_back_to_progression_under_both_engines() {
+    // 13 propositions: past the 12-proposition column limit of explicit
+    // synthesis, so neither engine gets an automaton. The property must
+    // still register, and decide where brute-force `eval` says, on an
+    // interpreter-driven trace.
+    let nprops = 13usize;
+    let src = (0..nprops)
+        .map(|i| format!("int g{i} = 0; "))
+        .collect::<String>()
+        + "int main() { return 0; }";
+    let ir = Rc::new(lower(&parse_c(&src).expect("model parses")).expect("model lowers"));
+    let responses = (1..nprops)
+        .map(|i| format!("p{i}"))
+        .collect::<Vec<_>>()
+        .join(" | ");
+    let text = format!("G[<=40] (p0 -> F[<=3] ({responses}))");
+    let f = sctc_temporal::parse(&text).expect("wide formula parses");
+
+    for seed in 0..24u64 {
+        for engine in [EngineKind::Compiled, EngineKind::Naive] {
+            let model = share_interp(Interp::with_virtual_memory(ir.clone()));
+            let props: Vec<Box<dyn Proposition>> = (0..nprops)
+                .map(|i| esw::global_nonzero(&format!("p{i}"), model.clone(), &format!("g{i}")))
+                .collect();
+            let mut sctc = Sctc::new();
+            sctc.add_property("wide", &f, props, engine)
+                .expect("a refused synthesis falls back instead of failing");
+
+            // Triggers on p0; each seed answers them more or less sparsely,
+            // so some runs starve a trigger and some hold to the bound.
+            let mut lcg = 0x2008_0310_u64 ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let mut trace = Vec::new();
+            for _ in 0..60 {
+                lcg = lcg
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let trigger = u64::from((lcg >> 40).is_multiple_of(4));
+                let response = if (lcg >> 20) % 16 < seed % 16 {
+                    1u64 << (1 + (lcg >> 50) % 12)
+                } else {
+                    0
+                };
+                let v = trigger | response;
+                let mut interp = model.borrow_mut();
+                for i in 0..nprops {
+                    interp.set_global_by_name(&format!("g{i}"), i32::from(v >> i & 1 == 1));
+                }
+                drop(interp);
+                sctc.sample();
+                trace.push(v);
+            }
+
+            let result = &sctc.results()[0];
+            assert!(
+                result.synthesis.is_none(),
+                "{engine:?}: no automaton was built"
+            );
+            let (holds, d) = decision_by_eval(&f, &trace, nprops, 48);
+            let want = if holds { Verdict::True } else { Verdict::False };
+            assert_eq!(result.verdict, want, "{engine:?} seed {seed}: verdict");
+            assert_eq!(
+                result.decided_at,
+                Some(d as u64),
+                "{engine:?} seed {seed}: decision sample"
+            );
+        }
+    }
+}
+
 /// RAM word behind `p2` in the clean-path test; `NOISE_ADDR` is written
 /// but observed by no proposition.
 const P2_ADDR: u32 = 0x40;
@@ -485,8 +562,8 @@ enum Op {
     /// Samples an unchanged model `n` times.
     Stutter(u64),
     /// Samples an unchanged model `extra` times more than the largest
-    /// registered automaton has states, so run-table and binary-lifting
-    /// flushes run.
+    /// registered automaton has states, so flushes outrun every acyclic
+    /// automaton path.
     LongStutter(u64),
     /// Power-loss restore of the all-zero RAM snapshot, then one sample.
     RestoreRam,
@@ -506,7 +583,7 @@ enum Extra {
     None,
     /// A driven property whose propositions are closures: always-dirty
     /// atoms, which keep the clean path off while it is undecided.
-    Closure(Formula, EngineKind),
+    Closure(Formula),
     /// A property on the naive engine, which samples every proposition
     /// every time and so also keeps the clean path off.
     Naive(Formula),
@@ -516,20 +593,18 @@ enum Extra {
 struct CleanCase {
     /// Driven properties; the first is registered up front, the others
     /// by `Op::AddProperty`.
-    properties: Vec<(Formula, EngineKind)>,
+    properties: Vec<Formula>,
     extra: Extra,
     ops: Vec<Op>,
 }
 
-const DRIVEN: [EngineKind; 3] = [EngineKind::Table, EngineKind::Compiled, EngineKind::Lazy];
-
 fn gen_clean_case(src: &mut Source<'_>) -> CleanCase {
     let properties = (0..src.usize_in(1, 3))
-        .map(|_| (gen_formula(src, MAX_DEPTH), src.pick(&DRIVEN)))
+        .map(|_| gen_formula(src, MAX_DEPTH))
         .collect();
     let extra = match src.weighted_idx(&[2, 1, 1]) {
         0 => Extra::None,
-        1 => Extra::Closure(gen_formula(src, MAX_DEPTH), src.pick(&DRIVEN)),
+        1 => Extra::Closure(gen_formula(src, MAX_DEPTH)),
         _ => Extra::Naive(gen_formula(src, MAX_DEPTH)),
     };
     let ops = (0..src.usize_in(4, 30))
@@ -779,12 +854,12 @@ fn clean_sample_path_matches_the_per_sample_path_and_brute_force() {
             let mut pair = CleanPair::new();
             match &case.extra {
                 Extra::None => {}
-                Extra::Closure(f, engine) => pair.register(&models, f, *engine, true),
+                Extra::Closure(f) => pair.register(&models, f, EngineKind::Compiled, true),
                 Extra::Naive(f) => pair.register(&models, f, EngineKind::Naive, false),
             }
             let mut pending = case.properties.iter();
-            if let Some((f, engine)) = pending.next() {
-                pair.register(&models, f, *engine, false);
+            if let Some(f) = pending.next() {
+                pair.register(&models, f, EngineKind::Compiled, false);
             }
             for op in &case.ops {
                 match *op {
@@ -813,8 +888,8 @@ fn clean_sample_path_matches_the_per_sample_path_and_brute_force() {
                         pair.sample(&models, 1);
                     }
                     Op::AddProperty => {
-                        if let Some((f, engine)) = pending.next() {
-                            pair.register(&models, f, *engine, false);
+                        if let Some(f) = pending.next() {
+                            pair.register(&models, f, EngineKind::Compiled, false);
                         }
                     }
                     Op::Reset => {

@@ -47,7 +47,7 @@ fn fig8_shape_no_violations_and_coverage() {
                     cases: 60,
                     bound,
                     fault_percent: 10,
-                    engine: EngineKind::Table,
+                    engine: EngineKind::Compiled,
                     isa: IsaKind::Word32,
                     max_ticks: u64::MAX / 2,
                     profile: false,
@@ -65,7 +65,7 @@ fn fig8_shape_no_violations_and_coverage() {
             cases: 60,
             bound: Some(1000),
             fault_percent: 10,
-            engine: EngineKind::Table,
+            engine: EngineKind::Compiled,
             isa: IsaKind::Word32,
             max_ticks: u64::MAX / 2,
             profile: false,
@@ -89,7 +89,7 @@ fn coverage_grows_with_test_cases() {
             cases: 4,
             bound: Some(1000),
             fault_percent: 10,
-            engine: EngineKind::Table,
+            engine: EngineKind::Compiled,
             isa: IsaKind::Word32,
             max_ticks: u64::MAX / 2,
             profile: false,
@@ -102,7 +102,7 @@ fn coverage_grows_with_test_cases() {
             cases: 250,
             bound: Some(1000),
             fault_percent: 10,
-            engine: EngineKind::Table,
+            engine: EngineKind::Compiled,
             isa: IsaKind::Word32,
             max_ticks: u64::MAX / 2,
             profile: false,
