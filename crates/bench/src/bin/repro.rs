@@ -5,10 +5,7 @@
 //!       [--smc] [--monitor-bench] [--witness-demo] [--serve-bench]
 //!       [--telemetry-bench] [--all]
 //!       [--jobs N] [--micro-cases N] [--derived-cases N] [--seed S]
-//!       [--budget SECS] [--json PATH|--json=false] [--faults-json PATH]
-//!       [--smc-json PATH] [--server-json PATH] [--monitor-json PATH]
-//!       [--obs-json PATH] [--telemetry-json PATH] [--trace-json PATH]
-//!       [--vcd PATH] [--profile]
+//!       [--budget SECS] [--json=false] [--vcd PATH] [--profile]
 //! ```
 //!
 //! With no table flags, `--all` is assumed. Numbers are scaled-down local
@@ -42,8 +39,9 @@
 //! alternating order), enforces that every on/off fingerprint pair is
 //! bit-identical, **fails the run if the enabled overhead exceeds 3%**,
 //! and writes `BENCH_telemetry.json` plus the flight-recorder log as
-//! chrome://tracing-loadable `trace.json`. `--json=false`
-//! suppresses every JSON artifact and leaves only the readable tables.
+//! chrome://tracing-loadable `trace.json`. Every JSON artifact goes to
+//! its fixed file name in the working directory; `--json=false`
+//! suppresses them all and leaves only the readable tables.
 
 use std::time::Duration;
 
@@ -70,14 +68,6 @@ struct Args {
     telemetry: bool,
     profile: bool,
     write_json: bool,
-    json_path: String,
-    faults_json_path: String,
-    smc_json_path: String,
-    server_json_path: String,
-    monitor_json_path: String,
-    obs_json_path: String,
-    telemetry_json_path: String,
-    trace_json_path: String,
     vcd_path: Option<String>,
     scale: Scale,
 }
@@ -97,14 +87,6 @@ fn parse_args() -> Args {
         telemetry: false,
         profile: false,
         write_json: true,
-        json_path: "BENCH_campaign.json".to_owned(),
-        faults_json_path: "BENCH_faults.json".to_owned(),
-        smc_json_path: "BENCH_smc.json".to_owned(),
-        server_json_path: "BENCH_server.json".to_owned(),
-        monitor_json_path: "BENCH_monitoring.json".to_owned(),
-        obs_json_path: "BENCH_obs.json".to_owned(),
-        telemetry_json_path: "BENCH_telemetry.json".to_owned(),
-        trace_json_path: "trace.json".to_owned(),
         vcd_path: None,
         scale: Scale::default(),
     };
@@ -148,30 +130,6 @@ fn parse_args() -> Args {
             "--budget" => args.scale.checker_budget = Duration::from_secs(next_u64("--budget")),
             "--json=false" => args.write_json = false,
             "--json=true" => args.write_json = true,
-            "--json" => {
-                args.json_path = it.next().expect("--json expects a path");
-            }
-            "--faults-json" => {
-                args.faults_json_path = it.next().expect("--faults-json expects a path");
-            }
-            "--smc-json" => {
-                args.smc_json_path = it.next().expect("--smc-json expects a path");
-            }
-            "--server-json" => {
-                args.server_json_path = it.next().expect("--server-json expects a path");
-            }
-            "--monitor-json" => {
-                args.monitor_json_path = it.next().expect("--monitor-json expects a path");
-            }
-            "--obs-json" => {
-                args.obs_json_path = it.next().expect("--obs-json expects a path");
-            }
-            "--telemetry-json" => {
-                args.telemetry_json_path = it.next().expect("--telemetry-json expects a path");
-            }
-            "--trace-json" => {
-                args.trace_json_path = it.next().expect("--trace-json expects a path");
-            }
             "--vcd" => {
                 args.vcd_path = Some(it.next().expect("--vcd expects a path"));
             }
@@ -181,10 +139,7 @@ fn parse_args() -> Args {
                      [--smc] [--monitor-bench] [--witness-demo] [--serve-bench]\n      \
                      [--telemetry-bench] [--all] [--jobs N]\n      \
                      [--micro-cases N] [--derived-cases N] [--seed S] [--budget SECS]\n      \
-                     [--json PATH|--json=false] [--faults-json PATH] [--smc-json PATH]\n      \
-                     [--server-json PATH] [--monitor-json PATH] [--obs-json PATH]\n      \
-                     [--telemetry-json PATH] [--trace-json PATH]\n      \
-                     [--vcd PATH] [--profile]"
+                     [--json=false] [--vcd PATH] [--profile]"
                 );
                 std::process::exit(0);
             }
@@ -374,11 +329,7 @@ fn main() {
             );
         }
         if args.write_json {
-            let doc = render_campaign_bench_json(&rows);
-            match std::fs::write(&args.json_path, &doc) {
-                Ok(()) => println!("wrote {}", args.json_path),
-                Err(e) => eprintln!("could not write {}: {e}", args.json_path),
-            }
+            write_artifact("BENCH_campaign.json", &render_campaign_bench_json(&rows));
         }
     }
 
@@ -446,11 +397,7 @@ fn main() {
         );
         println!("{}", report.matrix.to_table());
         if args.write_json {
-            let doc = render_faults_bench_json(&rows);
-            match std::fs::write(&args.faults_json_path, &doc) {
-                Ok(()) => println!("wrote {}", args.faults_json_path),
-                Err(e) => eprintln!("could not write {}: {e}", args.faults_json_path),
-            }
+            write_artifact("BENCH_faults.json", &render_faults_bench_json(&rows));
         }
     }
 
@@ -544,11 +491,7 @@ fn main() {
         );
         println!("{}", report.to_table());
         if args.write_json {
-            let doc = render_smc_bench_json(&rows);
-            match std::fs::write(&args.smc_json_path, &doc) {
-                Ok(()) => println!("wrote {}", args.smc_json_path),
-                Err(e) => eprintln!("could not write {}: {e}", args.smc_json_path),
-            }
+            write_artifact("BENCH_smc.json", &render_smc_bench_json(&rows));
         }
     }
 
@@ -631,10 +574,7 @@ fn main() {
         );
         if args.write_json {
             let doc = render_monitoring_bench_json(&rows, &decode_rows, decode_equal);
-            match std::fs::write(&args.monitor_json_path, &doc) {
-                Ok(()) => println!("wrote {}", args.monitor_json_path),
-                Err(e) => eprintln!("could not write {}: {e}", args.monitor_json_path),
-            }
+            write_artifact("BENCH_monitoring.json", &doc);
         }
     }
 
@@ -673,10 +613,7 @@ fn main() {
                 .find(|d| d.flow == "derived")
                 .map(|d| d.vcd_text.clone())
                 .unwrap_or_default();
-            match std::fs::write(path, &text) {
-                Ok(()) => println!("wrote {path}"),
-                Err(e) => eprintln!("could not write {path}: {e}"),
-            }
+            write_artifact(path, &text);
         }
         let obs = obs_bench(args.scale);
         println!(
@@ -693,11 +630,7 @@ fn main() {
         println!("metrics registry snapshot:");
         print!("{}", obs.metrics);
         if args.write_json {
-            let doc = render_obs_json(&obs, &demos);
-            match std::fs::write(&args.obs_json_path, &doc) {
-                Ok(()) => println!("wrote {}", args.obs_json_path),
-                Err(e) => eprintln!("could not write {}: {e}", args.obs_json_path),
-            }
+            write_artifact("BENCH_obs.json", &render_obs_json(&obs, &demos));
         }
         if failed {
             std::process::exit(1);
@@ -761,11 +694,7 @@ fn main() {
             report.jobs_done, report.speedup
         );
         if args.write_json {
-            let doc = render_server_bench_json(&report);
-            match std::fs::write(&args.server_json_path, &doc) {
-                Ok(()) => println!("wrote {}", args.server_json_path),
-                Err(e) => eprintln!("could not write {}: {e}", args.server_json_path),
-            }
+            write_artifact("BENCH_server.json", &render_server_bench_json(&report));
         }
     }
 
@@ -784,16 +713,9 @@ fn main() {
             report.events.len()
         );
         if args.write_json {
-            let doc = render_telemetry_json(&report);
-            match std::fs::write(&args.telemetry_json_path, &doc) {
-                Ok(()) => println!("wrote {}", args.telemetry_json_path),
-                Err(e) => eprintln!("could not write {}: {e}", args.telemetry_json_path),
-            }
-            let doc = render_chrome_trace(&report.events);
-            match std::fs::write(&args.trace_json_path, &doc) {
-                Ok(()) => println!("wrote {} (load in chrome://tracing)", args.trace_json_path),
-                Err(e) => eprintln!("could not write {}: {e}", args.trace_json_path),
-            }
+            write_artifact("BENCH_telemetry.json", &render_telemetry_json(&report));
+            // Loadable in chrome://tracing.
+            write_artifact("trace.json", &render_chrome_trace(&report.events));
         }
         if report.overhead_percent > 3.0 {
             eprintln!(
@@ -802,5 +724,14 @@ fn main() {
             );
             std::process::exit(1);
         }
+    }
+}
+
+/// Writes one artifact, saying where it went; a failed write is reported
+/// and skipped, since the tables above already carry the results.
+fn write_artifact(path: &str, doc: &str) {
+    match std::fs::write(path, doc) {
+        Ok(()) => println!("wrote {path}"),
+        Err(e) => eprintln!("could not write {path}: {e}"),
     }
 }

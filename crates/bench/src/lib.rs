@@ -29,7 +29,7 @@ use std::time::Duration;
 
 use checkers::bmc::{self, BmcConfig, BmcOutcome, SafetySpec};
 use checkers::predabs::{self, PredAbsConfig, PredAbsOutcome};
-use eee::{build_ir, ExperimentConfig, Op};
+use eee::{build_ir, Op};
 use faults::{run_fault_campaign, FaultCampaignReport, FaultCampaignSpec};
 use sctc_campaign::{resolve_jobs, run_campaign, CampaignReport, CampaignSpec, FlowKind};
 use sctc_core::{EngineKind, MonitorCounters};
@@ -245,34 +245,6 @@ fn fig8_column(
     Fig8Column {
         label: label.to_owned(),
         cells,
-    }
-}
-
-/// Runs one flow with exactly one operation's property registered.
-pub fn run_one_property(
-    micro: bool,
-    op: Op,
-    bound: Option<u64>,
-    cases: u64,
-    seed: u64,
-) -> eee::ExperimentOutcome {
-    // Reuse the assembled experiments but restrict properties by running
-    // the full set and reporting the one of interest? No — per-property
-    // timing matters; use a dedicated config instead.
-    let config = ExperimentConfig {
-        seed,
-        cases,
-        bound,
-        fault_percent: 10,
-        engine: EngineKind::Compiled,
-        isa: IsaKind::Word32,
-        max_ticks: u64::MAX / 2,
-        profile: false,
-    };
-    if micro {
-        eee::run_micro_single(op, config)
-    } else {
-        eee::run_derived_single(op, config)
     }
 }
 
@@ -1034,12 +1006,8 @@ type DecodeRun = (u64, u64, Vec<(i32, i32)>);
 
 fn run_decode_variant(isa: IsaKind, script: &[(eee::Op, i32, i32)]) -> DecodeRun {
     use eee::driver::MailboxAddrs;
-    use eee::{
-        share_flash, DataFlash, FlashMmio, FlashReadWindow, FLASH_READ_BASE, FLASH_READ_LEN,
-        FLASH_REG_BASE, FLASH_REG_LEN,
-    };
+    use eee::{flash_soc, share_flash, DataFlash};
     use minic::codegen::{compile, CodegenOptions};
-    use sctc_cpu::{Cpu, Soc};
 
     let ir = build_ir();
     let compiled = compile(
@@ -1053,20 +1021,7 @@ fn run_decode_variant(isa: IsaKind, script: &[(eee::Op, i32, i32)]) -> DecodeRun
     let addrs = MailboxAddrs::from_compiled(&compiled);
     let read_value_addr = compiled.global_addr("eee_read_value");
     let text_bytes = compiled.text.len() as u64 * 4;
-    let flash = share_flash(DataFlash::new());
-    let mut mem = compiled.build_memory(0x0004_0000);
-    mem.map_device(
-        FLASH_REG_BASE,
-        FLASH_REG_LEN,
-        Box::new(FlashMmio::new(flash.clone())),
-    );
-    mem.map_device(
-        FLASH_READ_BASE,
-        FLASH_READ_LEN,
-        Box::new(FlashReadWindow::new(flash)),
-    );
-    let mut soc = Soc::new(mem);
-    soc.cpu = Cpu::with_isa(0, isa);
+    let mut soc = flash_soc(&compiled, &share_flash(DataFlash::new()));
     let mut cycles = 0u64;
     let obs = script
         .iter()
@@ -1376,7 +1331,8 @@ impl WitnessDemo {
 /// Runs the torn-write power-loss scenario with the diagnosis layer on,
 /// under both flows, and validates the full witness/VCD contract.
 pub fn witness_demo(profile: bool) -> Vec<WitnessDemo> {
-    use faults::scenario::{run_scenario_observed, torn_write_ir, ScenarioObs};
+    use faults::scenario::{run_scenario_observed, ScenarioObs};
+    use faults::EswProgram;
     use sctc_core::{VcdDoc, VcdValue, WitnessConfig};
     use sctc_temporal::{TableMonitor, Verdict};
 
@@ -1393,7 +1349,7 @@ pub fn witness_demo(profile: bool) -> Vec<WitnessDemo> {
     flows
         .into_iter()
         .map(|(flow, name, bound, source_marker)| {
-            let (outcome, report) = run_scenario_observed(flow, torn_write_ir(), bound, obs);
+            let (outcome, report) = run_scenario_observed(flow, EswProgram::TornWrite, bound, obs);
             let violated = outcome.verdict_of("intact") == Verdict::False;
             let witness = report.witnesses.iter().find(|w| w.property == "intact");
             let (decided_at, replay_ok, provenance_ok, witness_report) = match witness {

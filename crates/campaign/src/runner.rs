@@ -114,32 +114,9 @@ where
     T: Send,
     F: Fn(&ShardSpec) -> T + Send + Sync,
 {
-    let workers = jobs.max(1).min(plan.len());
-    if workers <= 1 {
-        return plan.iter().map(&run).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = plan.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(shard) = plan.get(i) else {
-                    break;
-                };
-                let result = run(shard);
-                *slots[i].lock().expect("result slot lock") = Some(result);
-            });
-        }
-    });
-    slots
+    run_shards_until(plan, jobs, run, || false)
         .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot lock")
-                .expect("every shard produced a result")
-        })
+        .map(|slot| slot.expect("every shard produced a result"))
         .collect()
 }
 

@@ -28,6 +28,7 @@ use sctc_temporal::Formula;
 
 use crate::checker::{
     share_sctc, EngineKind, MonitorCounters, PropertyResult, Sctc, SctcError, SctcProcess,
+    SharedSctc,
 };
 use crate::esw_monitor::EswMonitor;
 use crate::proposition::Proposition;
@@ -148,15 +149,12 @@ pub trait InterpDriver {
 ///
 /// See the crate docs for an end-to-end example.
 pub struct MicroprocessorFlow {
-    sim: Simulation,
+    core: FlowCore,
     soc: SharedSoc,
     clock: sctc_sim::Clock,
-    sctc: crate::checker::SharedSctc,
     compiled: Rc<CompiledProgram>,
-    synthesis_wall: std::time::Duration,
     max_cycles_per_case: u64,
     flag_addr: Option<u32>,
-    profiler: Option<SharedProfiler>,
 }
 
 impl MicroprocessorFlow {
@@ -175,18 +173,17 @@ impl MicroprocessorFlow {
         // with; resets inside the harness preserve it (`Soc::reset_cpu`).
         soc.cpu = Cpu::with_isa(0, compiled.isa());
         let soc = share(soc);
-        let mut sim = Simulation::new();
-        let clock = sim.create_clock("clk", Duration::from_ticks(clock_period));
+        let mut core = FlowCore::new();
+        let clock = core
+            .sim
+            .create_clock("clk", Duration::from_ticks(clock_period));
         MicroprocessorFlow {
-            sim,
+            core,
             soc,
             clock,
-            sctc: share_sctc(Sctc::new()),
             compiled,
-            synthesis_wall: std::time::Duration::ZERO,
             max_cycles_per_case: 1_000_000,
             flag_addr: None,
-            profiler: None,
         }
     }
 
@@ -194,22 +191,19 @@ impl MicroprocessorFlow {
     /// automaton-step / synthesis); aggregates land in
     /// [`RunReport::spans`]. Returns the handle for external spans.
     pub fn enable_profiler(&mut self) -> SharedProfiler {
-        let profiler = SpanProfiler::shared();
-        self.sctc.borrow_mut().set_profiler(profiler.clone());
-        self.profiler = Some(profiler.clone());
-        profiler
+        self.core.enable_profiler()
     }
 
     /// Enables counterexample-witness extraction; witnesses land in
     /// [`RunReport::witnesses`]. Call before registering properties.
     pub fn enable_witnesses(&mut self, cfg: WitnessConfig) {
-        self.sctc.borrow_mut().enable_witnesses(cfg);
+        self.core.sctc.borrow_mut().enable_witnesses(cfg);
     }
 
     /// Enables property-timeline VCD capture; the waveform lands in
     /// [`RunReport::vcd`]. Call before registering properties.
     pub fn enable_vcd(&mut self) {
-        self.sctc.borrow_mut().enable_vcd();
+        self.core.sctc.borrow_mut().enable_vcd();
     }
 
     /// Uses an explicit software `flag` global for the initialisation
@@ -246,14 +240,7 @@ impl MicroprocessorFlow {
         props: Vec<Box<dyn Proposition>>,
         engine: EngineKind,
     ) -> Result<(), SctcError> {
-        let _span = SpanProfiler::maybe_enter(&self.profiler, "synthesis");
-        let t0 = Instant::now();
-        let result = self
-            .sctc
-            .borrow_mut()
-            .add_property(name, formula, props, engine);
-        self.synthesis_wall += t0.elapsed();
-        result
+        self.core.add_property(name, formula, props, engine)
     }
 
     /// Runs test cases until the driver declines or `max_ticks` elapse.
@@ -323,7 +310,7 @@ impl MicroprocessorFlow {
             }
         }
         let pristine_ram = self.soc.borrow().mem.snapshot_ram();
-        self.sim.spawn_deferred(
+        self.core.sim.spawn_deferred(
             "harness",
             Box::new(Harness {
                 soc: self.soc.clone(),
@@ -338,78 +325,39 @@ impl MicroprocessorFlow {
         );
         let flag_addr = self.flag_addr.unwrap_or(self.compiled.fname_addr);
         EswMonitor::spawn(
-            &mut self.sim,
+            &mut self.core.sim,
             self.clock.posedge(),
             self.soc.clone(),
-            self.sctc.clone(),
+            self.core.sctc.clone(),
             flag_addr,
         );
-
-        let outcome = {
-            let _span = SpanProfiler::maybe_enter(&self.profiler, "simulate");
-            self.sim.run_until(SimTime::from_ticks(max_ticks))?
-        };
-        let stopped_early = outcome == sctc_sim::RunOutcome::TimeLimit;
-        let (properties, samples, monitoring, witnesses, vcd) = {
-            let mut sctc = self.sctc.borrow_mut();
-            sctc.flush_spans();
-            let properties = sctc.results();
-            let witnesses = sctc.take_witnesses();
-            let vcd = sctc.take_vcd();
-            (properties, sctc.samples(), sctc.counters(), witnesses, vcd)
-        };
-        Ok(RunReport {
-            properties,
-            sim_ticks: self.sim.now().ticks(),
-            wall: wall0.elapsed(),
-            synthesis_wall: self.synthesis_wall,
-            kernel: self.sim.stats(),
-            samples,
-            test_cases: cases.get(),
-            stopped_early,
-            monitoring,
-            spans: self
-                .profiler
-                .as_ref()
-                .map(SpanProfiler::snapshot)
-                .unwrap_or_default(),
-            witnesses,
-            vcd,
-        })
+        self.core.run(max_ticks, wall0, &cases)
     }
 }
 
 impl fmt::Debug for MicroprocessorFlow {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MicroprocessorFlow")
-            .field("properties", &self.sctc.borrow().property_count())
-            .finish()
+        self.core.debug_as("MicroprocessorFlow", f)
     }
 }
 
 /// Approach 2: verification on the derived software model.
 pub struct DerivedModelFlow {
-    sim: Simulation,
+    core: FlowCore,
     interp: SharedInterp,
     handles: DerivedEswHandles,
-    sctc: crate::checker::SharedSctc,
-    synthesis_wall: std::time::Duration,
-    profiler: Option<SharedProfiler>,
 }
 
 impl DerivedModelFlow {
     /// Builds the flow around an interpreter (program + memory model).
     pub fn new(interp: Interp) -> Self {
         let interp = share_interp(interp);
-        let mut sim = Simulation::new();
-        let handles = DerivedEsw::spawn(&mut sim, interp.clone());
+        let mut core = FlowCore::new();
+        let handles = DerivedEsw::spawn(&mut core.sim, interp.clone());
         DerivedModelFlow {
-            sim,
+            core,
             interp,
             handles,
-            sctc: share_sctc(Sctc::new()),
-            synthesis_wall: std::time::Duration::ZERO,
-            profiler: None,
         }
     }
 
@@ -417,22 +365,19 @@ impl DerivedModelFlow {
     /// automaton-step / synthesis); aggregates land in
     /// [`RunReport::spans`]. Returns the handle for external spans.
     pub fn enable_profiler(&mut self) -> SharedProfiler {
-        let profiler = SpanProfiler::shared();
-        self.sctc.borrow_mut().set_profiler(profiler.clone());
-        self.profiler = Some(profiler.clone());
-        profiler
+        self.core.enable_profiler()
     }
 
     /// Enables counterexample-witness extraction; witnesses land in
     /// [`RunReport::witnesses`]. Call before registering properties.
     pub fn enable_witnesses(&mut self, cfg: WitnessConfig) {
-        self.sctc.borrow_mut().enable_witnesses(cfg);
+        self.core.sctc.borrow_mut().enable_witnesses(cfg);
     }
 
     /// Enables property-timeline VCD capture; the waveform lands in
     /// [`RunReport::vcd`]. Call before registering properties.
     pub fn enable_vcd(&mut self) {
-        self.sctc.borrow_mut().enable_vcd();
+        self.core.sctc.borrow_mut().enable_vcd();
     }
 
     /// Returns the shared interpreter handle (to bind propositions).
@@ -452,14 +397,7 @@ impl DerivedModelFlow {
         props: Vec<Box<dyn Proposition>>,
         engine: EngineKind,
     ) -> Result<(), SctcError> {
-        let _span = SpanProfiler::maybe_enter(&self.profiler, "synthesis");
-        let t0 = Instant::now();
-        let result = self
-            .sctc
-            .borrow_mut()
-            .add_property(name, formula, props, engine);
-        self.synthesis_wall += t0.elapsed();
-        result
+        self.core.add_property(name, formula, props, engine)
     }
 
     /// Runs test cases until the driver declines or `max_ticks` (statement
@@ -477,7 +415,11 @@ impl DerivedModelFlow {
         let cases = Rc::new(Cell::new(0u64));
 
         // The checker samples on every program-counter event.
-        SctcProcess::spawn(&mut self.sim, self.handles.pc_event, self.sctc.clone());
+        SctcProcess::spawn(
+            &mut self.core.sim,
+            self.handles.pc_event,
+            self.core.sctc.clone(),
+        );
 
         // The driver is shared between the case-rotation process and (when
         // requested) the power guard; both run in the single-threaded
@@ -510,7 +452,7 @@ impl DerivedModelFlow {
                     Activation::WaitStatic
                 }
             }
-            self.sim.spawn_deferred(
+            self.core.sim.spawn_deferred(
                 "power_guard",
                 Box::new(PowerGuard {
                     interp: self.interp.clone(),
@@ -554,7 +496,7 @@ impl DerivedModelFlow {
                 }
             }
         }
-        self.sim.spawn(
+        self.core.sim.spawn(
             "driver",
             Box::new(Driver {
                 interp: self.interp.clone(),
@@ -564,30 +506,90 @@ impl DerivedModelFlow {
                 started: false,
             }),
         );
+        self.core.run(max_ticks, wall0, &cases)
+    }
+}
 
+impl fmt::Debug for DerivedModelFlow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.core.debug_as("DerivedModelFlow", f)
+    }
+}
+
+/// The half both flows share: the kernel the model's processes are
+/// spawned into, the checker with its properties, the optional span
+/// profiler, and the registration-time synthesis wall.
+struct FlowCore {
+    sim: Simulation,
+    sctc: SharedSctc,
+    profiler: Option<SharedProfiler>,
+    synthesis_wall: std::time::Duration,
+}
+
+impl FlowCore {
+    fn new() -> Self {
+        FlowCore {
+            sim: Simulation::new(),
+            sctc: share_sctc(Sctc::new()),
+            profiler: None,
+            synthesis_wall: std::time::Duration::ZERO,
+        }
+    }
+
+    fn enable_profiler(&mut self) -> SharedProfiler {
+        let profiler = SpanProfiler::shared();
+        self.sctc.borrow_mut().set_profiler(profiler.clone());
+        self.profiler = Some(profiler.clone());
+        profiler
+    }
+
+    fn add_property(
+        &mut self,
+        name: &str,
+        formula: &Formula,
+        props: Vec<Box<dyn Proposition>>,
+        engine: EngineKind,
+    ) -> Result<(), SctcError> {
+        let _span = SpanProfiler::maybe_enter(&self.profiler, "synthesis");
+        let t0 = Instant::now();
+        let result = self
+            .sctc
+            .borrow_mut()
+            .add_property(name, formula, props, engine);
+        self.synthesis_wall += t0.elapsed();
+        result
+    }
+
+    /// Simulates up to `max_ticks` under the `simulate` span, then
+    /// reports the checker's results for a run that started at `wall0`
+    /// and completed `cases` test cases.
+    fn run(
+        mut self,
+        max_ticks: u64,
+        wall0: Instant,
+        cases: &Cell<u64>,
+    ) -> Result<RunReport, RunError> {
         let outcome = {
             let _span = SpanProfiler::maybe_enter(&self.profiler, "simulate");
             self.sim.run_until(SimTime::from_ticks(max_ticks))?
         };
-        let stopped_early = outcome == sctc_sim::RunOutcome::TimeLimit;
-        let (properties, samples, monitoring, witnesses, vcd) = {
-            let mut sctc = self.sctc.borrow_mut();
-            sctc.flush_spans();
-            let properties = sctc.results();
-            let witnesses = sctc.take_witnesses();
-            let vcd = sctc.take_vcd();
-            (properties, sctc.samples(), sctc.counters(), witnesses, vcd)
-        };
+        let mut sctc = self.sctc.borrow_mut();
+        sctc.flush_spans();
+        // `results` flushes pending stutter runs, which the counters
+        // read after it must include.
+        let properties = sctc.results();
+        let witnesses = sctc.take_witnesses();
+        let vcd = sctc.take_vcd();
         Ok(RunReport {
             properties,
             sim_ticks: self.sim.now().ticks(),
             wall: wall0.elapsed(),
             synthesis_wall: self.synthesis_wall,
             kernel: self.sim.stats(),
-            samples,
+            samples: sctc.samples(),
             test_cases: cases.get(),
-            stopped_early,
-            monitoring,
+            stopped_early: outcome == sctc_sim::RunOutcome::TimeLimit,
+            monitoring: sctc.counters(),
             spans: self
                 .profiler
                 .as_ref()
@@ -597,11 +599,9 @@ impl DerivedModelFlow {
             vcd,
         })
     }
-}
 
-impl fmt::Debug for DerivedModelFlow {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DerivedModelFlow")
+    fn debug_as(&self, flow: &str, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct(flow)
             .field("properties", &self.sctc.borrow().property_count())
             .finish()
     }

@@ -4,19 +4,16 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use minic::Interp;
-use sctc_core::{DerivedModelFlow, EngineKind, MicroprocessorFlow, RunReport};
+use sctc_core::{EngineKind, RunReport};
 use sctc_cpu::IsaKind;
 use sctc_temporal::Verdict;
 
 use crate::driver::{coverage_for_ops, EeeInterpDriver, EeePlan, EeeSocDriver, MailboxAddrs};
-use crate::flash::{
-    share_flash, DataFlash, FlashMemory, FlashMmio, FlashReadWindow, FLASH_READ_BASE,
-    FLASH_READ_LEN, FLASH_REG_BASE, FLASH_REG_LEN,
-};
+use crate::flash::{share_flash, DataFlash};
 use crate::ops::Op;
 use crate::properties::{bind_derived, bind_micro, response_property};
 use crate::source::{build_ir, compiled_program};
+use crate::testbench::{derived_testbench, micro_testbench};
 
 /// Configuration of one experiment run.
 #[derive(Copy, Clone, Debug)]
@@ -40,6 +37,13 @@ pub struct ExperimentConfig {
     /// Enables the span profiler on the flow: phase timings land in
     /// [`RunReport::spans`], outside all fingerprints.
     pub profile: bool,
+}
+
+impl ExperimentConfig {
+    /// The constrained-random request stream of this configuration.
+    fn plan(&self) -> EeePlan {
+        EeePlan::new(self.seed, self.cases).with_fault_percent(self.fault_percent)
+    }
 }
 
 impl Default for ExperimentConfig {
@@ -135,8 +139,7 @@ pub fn run_derived_single(op: Op, config: ExperimentConfig) -> ExperimentOutcome
 /// Derived-model flow with an explicit property subset.
 pub fn run_derived_with_ops(config: ExperimentConfig, ops: &[Op]) -> ExperimentOutcome {
     let flash = share_flash(DataFlash::new());
-    let interp = Interp::new(build_ir(), Box::new(FlashMemory::new(flash.clone())));
-    let mut flow = DerivedModelFlow::new(interp);
+    let mut flow = derived_testbench(build_ir(), &flash);
     if config.profile {
         let _ = flow.enable_profiler();
     }
@@ -152,17 +155,11 @@ pub fn run_derived_with_ops(config: ExperimentConfig, ops: &[Op]) -> ExperimentO
     }
     let coverage = coverage_for_ops();
     let traps = Rc::new(RefCell::new(Vec::new()));
-    let driver = EeeInterpDriver::new(
-        EeePlan::new(config.seed, config.cases).with_fault_percent(config.fault_percent),
-        flash,
-        coverage.clone(),
-        traps.clone(),
-    );
+    let driver = EeeInterpDriver::new(config.plan(), flash, coverage.clone(), traps.clone());
     let report = flow
         .run(Box::new(driver), config.max_ticks)
         .expect("derived flow runs without scheduler errors");
-    let anomalies = traps.borrow().clone();
-    ExperimentOutcome::collect(report, &coverage, anomalies)
+    ExperimentOutcome::collect(report, &coverage, traps.take())
 }
 
 /// Runs the case study under the **microprocessor flow** (approach 1) with
@@ -178,28 +175,10 @@ pub fn run_micro_single(op: Op, config: ExperimentConfig) -> ExperimentOutcome {
 
 /// Microprocessor flow with an explicit property subset.
 pub fn run_micro_with_ops(config: ExperimentConfig, ops: &[Op]) -> ExperimentOutcome {
-    let compiled = compiled_program(config.isa);
-    let addrs = MailboxAddrs::from_compiled(&compiled);
     let flash = share_flash(DataFlash::new());
-
-    let mut flow = MicroprocessorFlow::new(compiled, 0x0004_0000, 10);
+    let mut flow = micro_testbench(compiled_program(config.isa), &flash);
     if config.profile {
         let _ = flow.enable_profiler();
-    }
-    flow.set_flag_global("flag");
-    {
-        let soc = flow.soc();
-        let mut soc = soc.borrow_mut();
-        soc.mem.map_device(
-            FLASH_REG_BASE,
-            FLASH_REG_LEN,
-            Box::new(FlashMmio::new(flash.clone())),
-        );
-        soc.mem.map_device(
-            FLASH_READ_BASE,
-            FLASH_READ_LEN,
-            Box::new(FlashReadWindow::new(flash.clone())),
-        );
     }
     let soc = flow.soc();
     for &op in ops {
@@ -212,10 +191,11 @@ pub fn run_micro_with_ops(config: ExperimentConfig, ops: &[Op]) -> ExperimentOut
         )
         .expect("EEE properties bind by construction");
     }
+    let addrs = MailboxAddrs::from_compiled(flow.compiled());
     let coverage = coverage_for_ops();
     let faults = Rc::new(RefCell::new(Vec::new()));
     let driver = EeeSocDriver::new(
-        EeePlan::new(config.seed, config.cases).with_fault_percent(config.fault_percent),
+        config.plan(),
         flash,
         coverage.clone(),
         addrs,
@@ -224,6 +204,5 @@ pub fn run_micro_with_ops(config: ExperimentConfig, ops: &[Op]) -> ExperimentOut
     let report = flow
         .run(Box::new(driver), config.max_ticks)
         .expect("microprocessor flow runs without scheduler errors");
-    let anomalies = faults.borrow().clone();
-    ExperimentOutcome::collect(report, &coverage, anomalies)
+    ExperimentOutcome::collect(report, &coverage, faults.take())
 }

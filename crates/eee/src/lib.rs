@@ -11,6 +11,9 @@
 //!   per thread;
 //! * a [`DataFlash`] hardware model (pages, NOR program/erase semantics,
 //!   busy cycles, injectable faults) with adapters for both flows;
+//! * the testbench each flow runs on, the one place the flash is wired
+//!   to the software: [`derived_testbench`] and [`micro_testbench`], plus
+//!   [`flash_soc`], the bare SoC for code that steps the core itself;
 //! * a native-Rust [`RefEee`] reference model used as test oracle;
 //! * the property set of Section 4 ([`response_property`]) and assembled
 //!   experiments ([`run_derived`], [`run_micro`]).
@@ -38,6 +41,7 @@ mod ops;
 mod properties;
 mod reference;
 mod source;
+mod testbench;
 
 pub use driver::{coverage_for_ops, EeeInterpDriver, EeePlan, EeeSocDriver, ScriptedInterpDriver};
 pub use experiment::{
@@ -53,3 +57,4 @@ pub use ops::{Op, RetCode, NUM_IDS, RECORDS_PER_PAGE};
 pub use properties::{bind_derived, bind_micro, response_property};
 pub use reference::{RefEee, Request};
 pub use source::{build_ir, compiled_program, EEE_SOURCE};
+pub use testbench::{derived_testbench, flash_soc, micro_testbench};

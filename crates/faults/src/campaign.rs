@@ -10,20 +10,22 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use eee::driver::MailboxAddrs;
 use eee::{
-    build_ir, compiled_program, share_flash, DataFlash, FlashMemory, FlashMmio, FlashReadWindow,
-    EEE_SOURCE, FLASH_READ_BASE, FLASH_READ_LEN, FLASH_REG_BASE, FLASH_REG_LEN,
+    build_ir, compiled_program, derived_testbench, micro_testbench, share_flash, DataFlash,
+    Request, SharedFlash, EEE_SOURCE,
 };
 use minic::codegen::{compile, CodegenOptions, CompiledProgram};
 use minic::ir::IrProgram;
-use minic::{Interp, SharedInterp};
+use minic::SharedInterp;
 use sctc_campaign::{default_chunk, resolve_jobs, run_shards, shard_plan, FlowKind, ShardSpec};
-use sctc_core::{esw, sym, trace, DerivedModelFlow, EngineKind, MicroprocessorFlow, Proposition};
+use sctc_core::{esw, sym, trace, EngineKind, Proposition, RunReport};
 use sctc_cpu::{IsaKind, SharedSoc};
 use sctc_temporal::{parse, Formula};
 
 use crate::matrix::{DetectionMatrix, ShardMatrix};
 use crate::plan::FaultPlan;
+use crate::scenario::ScenarioObs;
 use crate::session::{FaultInterpDriver, FaultSession, FaultSocDriver};
 
 /// Specification of one fault-injection campaign.
@@ -241,11 +243,11 @@ fn run_fault_shard(
 
 /// Which ESW build a fault unit exercises.
 ///
-/// The torn-write mutant ([`crate::scenario::torn_write_ir`]) programs the
-/// record tag before the value, so a power loss between the two flash
-/// programs leaves a *visible* record with an erased value — the planted
-/// bug that statistical campaigns quantify (`P(G intact)` drops below 1
-/// exactly as often as a random cut lands in that window).
+/// The torn-write mutant programs the record tag before the value, so a
+/// power loss between the two flash programs leaves a *visible* record
+/// with an erased value — the planted bug that statistical campaigns
+/// quantify (`P(G intact)` drops below 1 exactly as often as a random cut
+/// lands in that window).
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub enum EswProgram {
     /// The in-tree, correct EEPROM emulation.
@@ -343,36 +345,88 @@ pub struct FaultUnitSpec {
 /// the SMC sampler — both produce matrices through the exact same flow
 /// construction, property binding, and record plumbing.
 pub fn run_fault_unit(unit: &FaultUnitSpec, plan: &FaultPlan) -> ShardMatrix {
-    match unit.flow {
-        FlowKind::Derived => run_derived_unit(unit, plan),
-        FlowKind::Microprocessor => run_micro_unit(unit, plan),
-    }
+    let obs = ScenarioObs {
+        profile: unit.profile,
+        engine: unit.engine,
+        ..ScenarioObs::default()
+    };
+    let session = |flash| FaultSession::from_plan(unit.request_seed, unit.cases, plan, flash);
+    run_session(
+        unit.flow,
+        unit.program,
+        unit.recovery_bound,
+        unit.max_ticks,
+        obs,
+        session,
+    )
+    .0
 }
 
-fn run_derived_unit(unit: &FaultUnitSpec, plan: &FaultPlan) -> ShardMatrix {
+/// Runs one monitored fault session, the single path behind campaign
+/// shards, SMC samples and the scripted scenario: `program` on the `eee`
+/// testbench of `flow`, `recovery` and `intact` registered with `obs`'s
+/// engine and switches, and the session `start` builds over the
+/// testbench's flash driving the cases for at most `max_ticks`.
+///
+/// Returns the unit's matrix, every finished case's observation, and the
+/// full report (witnesses, VCD and spans as `obs` asks).
+pub(crate) fn run_session(
+    flow: FlowKind,
+    program: EswProgram,
+    recovery_bound: u64,
+    max_ticks: u64,
+    obs: ScenarioObs,
+    start: impl FnOnce(SharedFlash) -> FaultSession,
+) -> (ShardMatrix, Vec<(Request, i32, i32)>, RunReport) {
     let flash = share_flash(DataFlash::new());
-    let interp = Interp::new(unit.program.ir(), Box::new(FlashMemory::new(flash.clone())));
-    let mut flow = DerivedModelFlow::new(interp);
-    if unit.profile {
-        let _ = flow.enable_profiler();
-    }
-    let handle = flow.interp();
-    let [recovery_props, intact_props] = bind_recovery_derived(&handle);
-    flow.add_property(
-        "recovery",
-        &recovery_property(unit.recovery_bound),
-        recovery_props,
-        unit.engine,
-    )
-    .expect("recovery property binds by construction");
-    flow.add_property("intact", &intact_property(), intact_props, unit.engine)
-        .expect("intact property binds by construction");
-    let session = FaultSession::from_plan(unit.request_seed, unit.cases, plan, flash);
+    let session = start(flash.clone());
     let records = session.records_handle();
-    let report = flow
-        .run(Box::new(FaultInterpDriver::new(session)), unit.max_ticks)
-        .expect("derived fault unit runs without scheduler errors");
-    ShardMatrix {
+    let observations = session.observations_handle();
+    // The flows share their checker-facing methods by name, not by trait.
+    macro_rules! monitored_run {
+        ($flow:ident, $props:expr, $driver:expr) => {{
+            if let Some(cfg) = obs.witnesses {
+                $flow.enable_witnesses(cfg);
+            }
+            if obs.vcd {
+                $flow.enable_vcd();
+            }
+            if obs.profile {
+                let _ = $flow.enable_profiler();
+            }
+            let [recovery, intact] = $props;
+            let recovery_formula = recovery_property(recovery_bound);
+            $flow
+                .add_property("recovery", &recovery_formula, recovery, obs.engine)
+                .expect("recovery property binds by construction");
+            $flow
+                .add_property("intact", &intact_property(), intact, obs.engine)
+                .expect("intact property binds by construction");
+            $flow.run(Box::new($driver), max_ticks)
+        }};
+    }
+    let report = match flow {
+        FlowKind::Derived => {
+            let mut flow = derived_testbench(program.ir(), &flash);
+            let props = bind_recovery_derived(&flow.interp());
+            monitored_run!(flow, props, FaultInterpDriver::new(session))
+        }
+        FlowKind::Microprocessor => {
+            let image = program.image();
+            // The driver pokes the mailbox words by raw address.
+            let driver = FaultSocDriver::new(
+                session,
+                MailboxAddrs::from_compiled(&image),
+                image.global_addr("tb_reset"),
+                image.global_addr("eee_read_value"),
+            );
+            let mut flow = micro_testbench(image, &flash);
+            let props = bind_recovery_micro(&flow.soc());
+            monitored_run!(flow, props, driver)
+        }
+    }
+    .expect("fault sessions run without scheduler errors");
+    let matrix = ShardMatrix {
         start_case: 0,
         test_cases: report.test_cases,
         records: records.take(),
@@ -382,66 +436,9 @@ fn run_derived_unit(unit: &FaultUnitSpec, plan: &FaultPlan) -> ShardMatrix {
             .map(|p| (p.name.clone(), p.verdict))
             .collect(),
         monitoring: report.monitoring,
-        spans: report.spans,
-    }
-}
-
-fn run_micro_unit(unit: &FaultUnitSpec, plan: &FaultPlan) -> ShardMatrix {
-    let compiled = unit.program.image();
-    let addrs = eee::driver::MailboxAddrs::from_compiled(&compiled);
-    // The driver still pokes these mailbox words by raw address.
-    let tb_reset = compiled.global_addr("tb_reset");
-    let eee_read_value = compiled.global_addr("eee_read_value");
-    let flash = share_flash(DataFlash::new());
-
-    let mut flow = MicroprocessorFlow::new(compiled, 0x0004_0000, 10);
-    if unit.profile {
-        let _ = flow.enable_profiler();
-    }
-    flow.set_flag_global("flag");
-    {
-        let soc = flow.soc();
-        let mut soc = soc.borrow_mut();
-        soc.mem.map_device(
-            FLASH_REG_BASE,
-            FLASH_REG_LEN,
-            Box::new(FlashMmio::new(flash.clone())),
-        );
-        soc.mem.map_device(
-            FLASH_READ_BASE,
-            FLASH_READ_LEN,
-            Box::new(FlashReadWindow::new(flash.clone())),
-        );
-    }
-    let soc = flow.soc();
-    let [recovery_props, intact_props] = bind_recovery_micro(&soc);
-    flow.add_property(
-        "recovery",
-        &recovery_property(unit.recovery_bound),
-        recovery_props,
-        unit.engine,
-    )
-    .expect("recovery property binds by construction");
-    flow.add_property("intact", &intact_property(), intact_props, unit.engine)
-        .expect("intact property binds by construction");
-    let session = FaultSession::from_plan(unit.request_seed, unit.cases, plan, flash);
-    let records = session.records_handle();
-    let driver = FaultSocDriver::new(session, addrs, tb_reset, eee_read_value);
-    let report = flow
-        .run(Box::new(driver), unit.max_ticks)
-        .expect("microprocessor fault unit runs without scheduler errors");
-    ShardMatrix {
-        start_case: 0,
-        test_cases: report.test_cases,
-        records: records.take(),
-        properties: report
-            .properties
-            .iter()
-            .map(|p| (p.name.clone(), p.verdict))
-            .collect(),
-        monitoring: report.monitoring,
-        spans: report.spans,
-    }
+        spans: report.spans.clone(),
+    };
+    (matrix, observations.take(), report)
 }
 
 #[cfg(test)]

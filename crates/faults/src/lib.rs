@@ -18,6 +18,10 @@
 //!   committed records).
 //! * Recovery properties in FLTL, monitored online: `G (reset -> F[<=b]
 //!   initialized)` and `G intact` ("no torn write is ever served").
+//! * One session runner behind every fault session: campaign shards
+//!   ([`run_fault_unit`]), SMC samples and the scripted power-loss
+//!   [`scenario`] all run an [`EswProgram`] on the `eee` testbench of the
+//!   chosen flow through the same monitoring set-up.
 //! * [`DetectionMatrix`] — fault class × operation × flow verdicts plus
 //!   recovery latency and survived/corrupted record counts, merged from
 //!   sharded workers bit-identically for any `--jobs` value (FNV-1a

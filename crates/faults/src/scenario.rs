@@ -5,27 +5,20 @@
 //! flash programs of a second write. The healthy ESW programs the value
 //! word before the tag, so the interrupted slot stays invisible:
 //! recovery finds the committed record intact and the torn id absent. The
-//! [`torn_write_ir`] variant swaps the order (tag before value) — after
-//! the same cut the tag is visible with an erased value word, recovery
-//! serves `-1`, and the `intact` property (`G intact`) goes `False`.
+//! [`EswProgram::TornWrite`] variant swaps the order (tag before value) —
+//! after the same cut the tag is visible with an erased value word,
+//! recovery serves `-1`, and the `intact` property (`G intact`) goes
+//! `False`.
 
-use std::rc::Rc;
-
-use eee::{share_flash, DataFlash, FlashMemory, FlashMmio, FlashReadWindow, Op, Request};
-use eee::{FLASH_READ_BASE, FLASH_READ_LEN, FLASH_REG_BASE, FLASH_REG_LEN};
-use minic::codegen::{compile, CodegenOptions};
-use minic::ir::IrProgram;
-use minic::Interp;
+use eee::{Op, Request};
 use sctc_campaign::FlowKind;
-use sctc_core::{DerivedModelFlow, EngineKind, MicroprocessorFlow, RunReport, WitnessConfig};
+use sctc_core::{EngineKind, RunReport, WitnessConfig};
 use sctc_temporal::Verdict;
 
-use crate::campaign::{
-    bind_recovery_derived, bind_recovery_micro, intact_property, recovery_property, EswProgram,
-};
-use crate::matrix::FaultRecord;
+use crate::campaign::{run_session, EswProgram};
+use crate::matrix::{FaultRecord, ShardMatrix};
 use crate::plan::{FaultEvent, FaultPlan, PlannedFault};
-use crate::session::{FaultInterpDriver, FaultSession, FaultSocDriver};
+use crate::session::FaultSession;
 
 /// Result of one scenario run.
 #[derive(Clone, Debug)]
@@ -61,18 +54,6 @@ impl ScenarioOutcome {
     pub fn cut(&self) -> &FaultRecord {
         self.records.first().expect("scenario schedules one cut")
     }
-}
-
-/// An ESW variant with the torn-write discipline inverted: the tag word is
-/// programmed before the value word, so a power loss between the two
-/// leaves a *visible* record with an erased (`-1`) value. Built once per
-/// thread ([`EswProgram::ir`]).
-///
-/// # Panics
-///
-/// Panics if the mutation no longer applies to the embedded source.
-pub fn torn_write_ir() -> Rc<IrProgram> {
-    EswProgram::TornWrite.ir()
 }
 
 /// The scenario script: bring-up, one committed record, then the write the
@@ -120,10 +101,10 @@ pub struct ScenarioObs {
     pub engine: EngineKind,
 }
 
-/// Runs the power-loss scenario on `ir` under the chosen flow.
+/// Runs the power-loss scenario on `program` under the chosen flow.
 /// `recovery_bound` is in samples (statements / clock cycles).
-pub fn run_scenario(flow: FlowKind, ir: Rc<IrProgram>, recovery_bound: u64) -> ScenarioOutcome {
-    run_scenario_observed(flow, ir, recovery_bound, ScenarioObs::default()).0
+pub fn run_scenario(flow: FlowKind, program: EswProgram, recovery_bound: u64) -> ScenarioOutcome {
+    run_scenario_observed(flow, program, recovery_bound, ScenarioObs::default()).0
 }
 
 /// Like [`run_scenario`], with the diagnosis layer switched on: the full
@@ -131,139 +112,39 @@ pub fn run_scenario(flow: FlowKind, ir: Rc<IrProgram>, recovery_bound: u64) -> S
 /// the VCD document and the span profile as requested by `obs`.
 pub fn run_scenario_observed(
     flow: FlowKind,
-    ir: Rc<IrProgram>,
+    program: EswProgram,
     recovery_bound: u64,
     obs: ScenarioObs,
 ) -> (ScenarioOutcome, RunReport) {
-    match flow {
-        FlowKind::Derived => run_derived(ir, recovery_bound, obs),
-        FlowKind::Microprocessor => run_micro(ir, recovery_bound, obs),
-    }
-}
-
-/// Convenience: the healthy (in-tree) ESW, built once per thread
-/// ([`EswProgram::ir`]).
-pub fn healthy_ir() -> Rc<IrProgram> {
-    EswProgram::Healthy.ir()
-}
-
-fn run_derived(
-    ir: Rc<IrProgram>,
-    recovery_bound: u64,
-    obs: ScenarioObs,
-) -> (ScenarioOutcome, RunReport) {
-    let flash = share_flash(DataFlash::new());
-    let interp = Interp::new(ir, Box::new(FlashMemory::new(flash.clone())));
-    let mut flow = DerivedModelFlow::new(interp);
-    apply_obs_derived(&mut flow, obs);
-    let handle = flow.interp();
-    let [recovery_props, intact_props] = bind_recovery_derived(&handle);
-    flow.add_property(
-        "recovery",
-        &recovery_property(recovery_bound),
-        recovery_props,
-        obs.engine,
-    )
-    .expect("recovery property binds");
-    flow.add_property("intact", &intact_property(), intact_props, obs.engine)
-        .expect("intact property binds");
-    let session = FaultSession::scripted(script(), &cut_plan(), flash);
-    let records = session.records_handle();
-    let observations = session.observations_handle();
-    let report = flow
-        .run(Box::new(FaultInterpDriver::new(session)), u64::MAX / 2)
-        .expect("derived scenario runs");
+    let (matrix, observations, report) =
+        run_scripted(flow, program, recovery_bound, u64::MAX / 2, obs);
     let outcome = ScenarioOutcome {
-        properties: report
-            .properties
-            .iter()
-            .map(|p| (p.name.clone(), p.verdict))
-            .collect(),
-        records: records.take(),
-        observations: observations.take(),
+        properties: matrix.properties,
+        records: matrix.records,
+        observations,
     };
     (outcome, report)
 }
 
-fn apply_obs_derived(flow: &mut DerivedModelFlow, obs: ScenarioObs) {
-    if let Some(cfg) = obs.witnesses {
-        flow.enable_witnesses(cfg);
-    }
-    if obs.vcd {
-        flow.enable_vcd();
-    }
-    if obs.profile {
-        let _ = flow.enable_profiler();
-    }
-}
-
-fn apply_obs_micro(flow: &mut MicroprocessorFlow, obs: ScenarioObs) {
-    if let Some(cfg) = obs.witnesses {
-        flow.enable_witnesses(cfg);
-    }
-    if obs.vcd {
-        flow.enable_vcd();
-    }
-    if obs.profile {
-        let _ = flow.enable_profiler();
-    }
-}
-
-fn run_micro(
-    ir: Rc<IrProgram>,
+/// The scenario as one fault unit — the [`ShardMatrix`] a statistical
+/// campaign grades — simulated for at most `max_ticks`.
+pub fn run_scenario_unit(
+    flow: FlowKind,
+    program: EswProgram,
     recovery_bound: u64,
+    max_ticks: u64,
     obs: ScenarioObs,
-) -> (ScenarioOutcome, RunReport) {
-    let compiled = compile(&ir, CodegenOptions::default()).expect("scenario program compiles");
-    let addrs = eee::driver::MailboxAddrs::from_compiled(&compiled);
-    // The driver still pokes these mailbox words by raw address.
-    let tb_reset = compiled.global_addr("tb_reset");
-    let eee_read_value = compiled.global_addr("eee_read_value");
-    let flash = share_flash(DataFlash::new());
+) -> ShardMatrix {
+    run_scripted(flow, program, recovery_bound, max_ticks, obs).0
+}
 
-    let mut flow = MicroprocessorFlow::new(compiled, 0x0004_0000, 10);
-    apply_obs_micro(&mut flow, obs);
-    flow.set_flag_global("flag");
-    {
-        let soc = flow.soc();
-        let mut soc = soc.borrow_mut();
-        soc.mem.map_device(
-            FLASH_REG_BASE,
-            FLASH_REG_LEN,
-            Box::new(FlashMmio::new(flash.clone())),
-        );
-        soc.mem.map_device(
-            FLASH_READ_BASE,
-            FLASH_READ_LEN,
-            Box::new(FlashReadWindow::new(flash.clone())),
-        );
-    }
-    let soc = flow.soc();
-    let [recovery_props, intact_props] = bind_recovery_micro(&soc);
-    flow.add_property(
-        "recovery",
-        &recovery_property(recovery_bound),
-        recovery_props,
-        obs.engine,
-    )
-    .expect("recovery property binds");
-    flow.add_property("intact", &intact_property(), intact_props, obs.engine)
-        .expect("intact property binds");
-    let session = FaultSession::scripted(script(), &cut_plan(), flash);
-    let records = session.records_handle();
-    let observations = session.observations_handle();
-    let driver = FaultSocDriver::new(session, addrs, tb_reset, eee_read_value);
-    let report = flow
-        .run(Box::new(driver), u64::MAX / 2)
-        .expect("microprocessor scenario runs");
-    let outcome = ScenarioOutcome {
-        properties: report
-            .properties
-            .iter()
-            .map(|p| (p.name.clone(), p.verdict))
-            .collect(),
-        records: records.take(),
-        observations: observations.take(),
-    };
-    (outcome, report)
+fn run_scripted(
+    flow: FlowKind,
+    program: EswProgram,
+    recovery_bound: u64,
+    max_ticks: u64,
+    obs: ScenarioObs,
+) -> (ShardMatrix, Vec<(Request, i32, i32)>, RunReport) {
+    let session = |flash| FaultSession::scripted(script(), &cut_plan(), flash);
+    run_session(flow, program, recovery_bound, max_ticks, obs, session)
 }

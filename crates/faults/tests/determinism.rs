@@ -120,9 +120,8 @@ fn both_engines_grade_the_torn_write_scenario_alike() {
     // The scripted power cut under the torn mutant is the sharpest
     // engine-coverage probe: `G intact` must flip to `False` at the same
     // point regardless of engine, and the healthy ESW must stay clean.
-    use faults::scenario::{
-        healthy_ir, run_scenario_observed, torn_write_ir, ScenarioObs,
-    };
+    use faults::scenario::{run_scenario_observed, ScenarioObs};
+    use faults::EswProgram;
     use sctc_campaign::FlowKind;
     use sctc_core::EngineKind;
 
@@ -131,15 +130,14 @@ fn both_engines_grade_the_torn_write_scenario_alike() {
             engine,
             ..ScenarioObs::default()
         };
-        let (torn, _) =
-            run_scenario_observed(FlowKind::Derived, torn_write_ir(), 5_000, obs);
+        let (torn, _) = run_scenario_observed(FlowKind::Derived, EswProgram::TornWrite, 5_000, obs);
         assert_eq!(
             torn.verdict_of("intact"),
             Verdict::False,
             "{engine:?} must catch the torn write"
         );
         let (healthy, _) =
-            run_scenario_observed(FlowKind::Derived, healthy_ir(), 5_000, obs);
+            run_scenario_observed(FlowKind::Derived, EswProgram::Healthy, 5_000, obs);
         assert_ne!(
             healthy.verdict_of("intact"),
             Verdict::False,

@@ -350,8 +350,7 @@ pub fn run_job(spec: &JobSpec, options: &JobOptions) -> JobOutput {
                 ..ScenarioObs::default()
             };
             let started = std::time::Instant::now();
-            let (outcome, report) =
-                run_scenario_observed(j.flow, j.program.ir(), j.recovery_bound, obs);
+            let (outcome, report) = run_scenario_observed(j.flow, j.program, j.recovery_bound, obs);
             JobOutput {
                 digest: JobDigest::Scenario {
                     fingerprint: fnv1a64(scenario_canonical(&outcome).as_bytes()),

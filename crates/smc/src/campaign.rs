@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use faults::scenario::{run_scenario_observed, ScenarioObs};
+use faults::scenario::{run_scenario_unit, ScenarioObs};
 use faults::{run_fault_unit, DetectionMatrix, EswProgram, FaultPlan, FaultUnitSpec, ShardMatrix};
 use sctc_campaign::{resolve_jobs, run_shards_until, shard_plan, FlowKind};
 use sctc_core::{trace, EngineKind};
@@ -353,16 +353,7 @@ pub fn run_sample(spec: &SmcSpec, index: u64) -> ShardMatrix {
                 engine: spec.engine,
                 ..ScenarioObs::default()
             };
-            let (outcome, report) =
-                run_scenario_observed(spec.flow, program.ir(), spec.recovery_bound, obs);
-            ShardMatrix {
-                start_case: 0,
-                test_cases: report.test_cases,
-                records: outcome.records,
-                properties: outcome.properties,
-                monitoring: report.monitoring,
-                spans: report.spans,
-            }
+            run_scenario_unit(spec.flow, program, spec.recovery_bound, spec.max_ticks, obs)
         }
     }
 }
@@ -582,6 +573,29 @@ mod tests {
             (rate - 0.25).abs() < 0.03,
             "planted rate {rate} strays from 0.25"
         );
+    }
+
+    #[test]
+    fn planted_samples_honour_the_tick_budget() {
+        for flow in [FlowKind::Derived, FlowKind::Microprocessor] {
+            let mut spec = SmcSpec::planted_torn(flow, 0, 1);
+            // A tenth of the production micro bound keeps synthesis cheap.
+            spec.recovery_bound = spec.recovery_bound.min(20_000);
+            let full = run_sample(&spec, 0);
+            let cut = run_sample(
+                &SmcSpec {
+                    max_ticks: 50,
+                    ..spec
+                },
+                0,
+            );
+            assert!(
+                cut.test_cases < full.test_cases,
+                "{flow:?}: 50 ticks completed {} cases, the default budget {}",
+                cut.test_cases,
+                full.test_cases
+            );
+        }
     }
 
     #[test]

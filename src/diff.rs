@@ -17,15 +17,11 @@ use testkit::{DiffHarness, Source};
 
 use crate::c::{ExecState, Interp};
 use crate::case_study::driver::MailboxAddrs;
-use crate::case_study::flash::{
-    FlashMmio, FlashReadWindow, FLASH_READ_BASE, FLASH_READ_LEN, FLASH_REG_BASE, FLASH_REG_LEN,
-};
 use crate::case_study::{
-    build_ir, compiled_program, share_flash, DataFlash, FlashMemory, Op, RefEee, Request, RetCode,
-    ScriptedInterpDriver, NUM_IDS,
+    build_ir, compiled_program, derived_testbench, flash_soc, share_flash, DataFlash, FlashMemory,
+    Op, RefEee, Request, RetCode, ScriptedInterpDriver, NUM_IDS,
 };
-use crate::cpu::{Cpu, IsaKind, Soc};
-use crate::sctc::DerivedModelFlow;
+use crate::cpu::IsaKind;
 
 /// What one substrate observes for one request: the return code, and the
 /// value read back when the request was a successful `Read` (`None`
@@ -93,19 +89,7 @@ pub fn run_compiled_cpu_isa(script: &[Request], isa: IsaKind) -> EeeObs {
     let compiled = compiled_program(isa);
     let addrs = MailboxAddrs::from_compiled(&compiled);
     let read_value_addr = compiled.global_addr("eee_read_value");
-    let flash = share_flash(DataFlash::new());
-    let mut mem = compiled.build_memory(0x0004_0000);
-    mem.map_device(
-        FLASH_REG_BASE,
-        FLASH_REG_LEN,
-        Box::new(FlashMmio::new(flash.clone())),
-    );
-    mem.map_device(
-        FLASH_READ_BASE,
-        FLASH_READ_LEN,
-        Box::new(FlashReadWindow::new(flash)),
-    );
-    let mut soc = Soc::new(mem);
+    let mut soc = flash_soc(&compiled, &share_flash(DataFlash::new()));
     script
         .iter()
         .map(|req| {
@@ -118,7 +102,7 @@ pub fn run_compiled_cpu_isa(script: &[Request], isa: IsaKind) -> EeeObs {
             soc.mem
                 .write_u32(addrs.req_arg1, req.arg1 as u32)
                 .expect("mailbox in RAM");
-            soc.cpu = Cpu::with_isa(0, compiled.isa());
+            soc.reset_cpu();
             let mut budget = 10_000_000u64;
             while !soc.cpu.is_halted() {
                 assert!(soc.fault.is_none(), "CPU fault on {req:?}: {:?}", soc.fault);
@@ -136,9 +120,7 @@ pub fn run_compiled_cpu_isa(script: &[Request], isa: IsaKind) -> EeeObs {
 /// Runs a script through the derived-model flow (approach 2): the
 /// interpreter driven by the discrete-event kernel, one statement per step.
 pub fn run_derived_flow(script: &[Request]) -> EeeObs {
-    let flash = share_flash(DataFlash::new());
-    let interp = Interp::new(build_ir(), Box::new(FlashMemory::new(flash)));
-    let flow = DerivedModelFlow::new(interp);
+    let flow = derived_testbench(build_ir(), &share_flash(DataFlash::new()));
     let driver = ScriptedInterpDriver::new(script.to_vec());
     let observed = driver.observations();
     flow.run(Box::new(driver), u64::MAX / 2)

@@ -18,8 +18,8 @@ use std::rc::Rc;
 
 use esw_verify::c::{lower, parse as parse_c, share_interp, Interp, SharedInterp};
 use esw_verify::campaign::FlowKind;
-use esw_verify::faults::scenario::{run_scenario_observed, torn_write_ir, ScenarioObs};
-use esw_verify::faults::intact_property;
+use esw_verify::faults::scenario::{run_scenario_observed, ScenarioObs};
+use esw_verify::faults::{intact_property, EswProgram};
 use esw_verify::sctc::{esw, EngineKind, Proposition, Sctc, VcdValue, Witness, WitnessConfig};
 use esw_verify::temporal::{Formula, TableMonitor, Verdict};
 use testkit::{Checker, Source};
@@ -181,7 +181,7 @@ fn channel_values(report: &esw_verify::sctc::RunReport) -> BTreeMap<(String, Str
 fn torn_write_observed(flow: FlowKind, recovery_bound: u64) -> (Witness, esw_verify::sctc::RunReport) {
     let (_, report) = run_scenario_observed(
         flow,
-        torn_write_ir(),
+        EswProgram::TornWrite,
         recovery_bound,
         ScenarioObs {
             witnesses: Some(WitnessConfig::default()),

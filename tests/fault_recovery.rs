@@ -9,7 +9,8 @@
 //! two — in **both** verification flows.
 
 use esw_verify::campaign::FlowKind;
-use esw_verify::faults::scenario::{healthy_ir, run_scenario, torn_write_ir};
+use esw_verify::faults::scenario::run_scenario;
+use esw_verify::faults::EswProgram;
 use esw_verify::temporal::Verdict;
 
 const FLOWS: [(FlowKind, u64); 2] = [
@@ -20,7 +21,7 @@ const FLOWS: [(FlowKind, u64); 2] = [
 #[test]
 fn healthy_esw_recovers_and_hides_the_torn_write_in_both_flows() {
     for (flow, bound) in FLOWS {
-        let outcome = run_scenario(flow, healthy_ir(), bound);
+        let outcome = run_scenario(flow, EswProgram::Healthy, bound);
         assert_ne!(outcome.verdict_of("intact"), Verdict::False, "{flow:?}");
         assert_ne!(outcome.verdict_of("recovery"), Verdict::False, "{flow:?}");
         let cut = outcome.cut();
@@ -36,7 +37,7 @@ fn healthy_esw_recovers_and_hides_the_torn_write_in_both_flows() {
 #[test]
 fn torn_write_bug_is_caught_by_the_intact_property_in_both_flows() {
     for (flow, bound) in FLOWS {
-        let outcome = run_scenario(flow, torn_write_ir(), bound);
+        let outcome = run_scenario(flow, EswProgram::TornWrite, bound);
         assert_eq!(
             outcome.verdict_of("intact"),
             Verdict::False,

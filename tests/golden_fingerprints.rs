@@ -18,8 +18,9 @@
 
 use esw_verify::campaign::{run_campaign, CampaignFingerprint, CampaignSpec, FlowKind};
 use esw_verify::cpu::IsaKind;
+use esw_verify::faults::scenario::{run_scenario_observed, ScenarioObs};
 use esw_verify::faults::{run_fault_campaign, EswProgram, FaultCampaignSpec};
-use esw_verify::sctc::MonitorCounters;
+use esw_verify::sctc::{MonitorCounters, WitnessConfig};
 use esw_verify::smc::{run_smc_campaign, SmcSpec};
 use esw_verify::temporal::fnv1a64;
 
@@ -36,6 +37,8 @@ const MICRO_CAMPAIGN: u64 = 0xdc1b_630f_3638_4cab;
 const MICRO_FAULT_MATRIX: u64 = 0x4e17_1744_d4d1_69cf;
 const SMC_FAULTS_TORN_MICRO: u64 = 0xd9ec_502d_acad_113f;
 const SMC_PLANTED_TORN_DERIVED: u64 = 0x0754_3f64_252e_9b2a;
+const DERIVED_FAULT_MATRIX: u64 = 0x7743_ff70_a803_66be;
+const SMC_PLANTED_TORN_MICRO: u64 = 0x89a2_b620_2c4e_4ad4;
 
 /// Checker samples and monitoring counters of each pinned run, at every
 /// job count. The micro campaign's counters, like its fingerprint, are the
@@ -47,6 +50,53 @@ const MICRO_FAULT_MATRIX_WORK: MonitorCounters = counters(14, 16974, 11310, 10);
 /// canonical-order fold makes independent of the job count.
 const SMC_FAULTS_TORN_MICRO_WORK: MonitorCounters = counters(32, 45165, 30098, 24);
 const SMC_PLANTED_TORN_DERIVED_WORK: MonitorCounters = counters(240, 63084, 41643, 192);
+const DERIVED_FAULT_MATRIX_WORK: MonitorCounters = counters(88, 22242, 14804, 72);
+/// Accepted samples and merged counters of the micro planted-torn report.
+const SMC_PLANTED_TORN_MICRO_WORK: (u64, MonitorCounters) = (6, counters(120, 215238, 142649, 96));
+
+/// The scripted power-loss scenario on each flow and program, with
+/// witness capture and the property-timeline VCD switched on: the
+/// fingerprint of [`scenario_canonical`], every witness's property and
+/// decision sample, and the FNV-1a of the rendered VCD. The healthy runs
+/// decide nothing (both properties stay pending), so they capture no
+/// witness and render the same canonical text on both flows.
+type ScenarioGolden = (
+    FlowKind,
+    EswProgram,
+    u64,
+    &'static [(&'static str, u64)],
+    u64,
+);
+const SCENARIOS: [ScenarioGolden; 4] = [
+    (
+        FlowKind::Derived,
+        EswProgram::Healthy,
+        0xfcae_b066_9805_4604,
+        &[],
+        0xe504_4ffb_8601_12e9,
+    ),
+    (
+        FlowKind::Derived,
+        EswProgram::TornWrite,
+        0xfd24_0198_f164_887c,
+        &[("intact", 1456)],
+        0x63fd_171b_40d5_344a,
+    ),
+    (
+        FlowKind::Microprocessor,
+        EswProgram::Healthy,
+        0xfcae_b066_9805_4604,
+        &[],
+        0x23d2_f418_18ad_9a58,
+    ),
+    (
+        FlowKind::Microprocessor,
+        EswProgram::TornWrite,
+        0x1485_d56e_d424_02fb,
+        &[("intact", 9804)],
+        0x9325_d39f_76d1_93af,
+    ),
+];
 
 const fn counters(
     atoms_evaluated: u64,
@@ -157,6 +207,117 @@ fn micro_fault_matrix_matches_its_golden_fingerprint() {
             jobs,
             MICRO_FAULT_MATRIX_WORK,
             matrix.monitoring,
+        );
+    }
+}
+
+#[test]
+fn derived_fault_matrix_matches_its_golden_fingerprint() {
+    let spec = FaultCampaignSpec::derived(40, 7)
+        .with_chunk(10)
+        .with_fault_percent(60);
+    for jobs in JOBS {
+        let matrix = run_fault_campaign(&spec.clone().with_jobs(jobs)).matrix;
+        assert_golden(
+            "derived fault matrix",
+            jobs,
+            DERIVED_FAULT_MATRIX,
+            matrix.fingerprint(),
+            &matrix.canonical(),
+        );
+        assert_work(
+            "derived fault matrix",
+            jobs,
+            DERIVED_FAULT_MATRIX_WORK,
+            matrix.monitoring,
+        );
+    }
+}
+
+#[test]
+fn micro_planted_torn_smc_report_matches_its_golden_fingerprint() {
+    let mut spec = SmcSpec::planted_torn(FlowKind::Microprocessor, 300, 5).with_max_samples(6);
+    spec.recovery_bound = MICRO_RECOVERY_BOUND;
+    let name = "smc planted torn (micro)";
+    for jobs in JOBS {
+        let report = run_smc_campaign(&spec.with_jobs(jobs));
+        assert_golden(
+            name,
+            jobs,
+            SMC_PLANTED_TORN_MICRO,
+            report.fingerprint(),
+            &report.canonical(),
+        );
+        assert_work(
+            name,
+            jobs,
+            SMC_PLANTED_TORN_MICRO_WORK,
+            (report.samples, report.matrix.monitoring),
+        );
+    }
+}
+
+/// Verdicts, fault records, observations and witness decisions of one
+/// scenario run, one per line.
+fn scenario_canonical(
+    outcome: &esw_verify::faults::scenario::ScenarioOutcome,
+    report: &esw_verify::sctc::RunReport,
+) -> String {
+    let mut out = String::new();
+    for (name, verdict) in &outcome.properties {
+        out.push_str(&format!("property {name} {verdict:?}\n"));
+    }
+    for record in &outcome.records {
+        out.push_str(&format!("{record:?}\n"));
+    }
+    for (request, ret, value) in &outcome.observations {
+        out.push_str(&format!("{request:?} ret={ret} value={value}\n"));
+    }
+    for w in &report.witnesses {
+        out.push_str(&format!(
+            "witness {} {:?} decided_at={:?}\n",
+            w.property, w.verdict, w.decided_at
+        ));
+    }
+    out
+}
+
+#[test]
+fn observed_scenarios_match_their_golden_fingerprints() {
+    let obs = ScenarioObs {
+        witnesses: Some(WitnessConfig {
+            capture_true: true,
+            ..WitnessConfig::default()
+        }),
+        vcd: true,
+        ..ScenarioObs::default()
+    };
+    for (flow, program, pinned, decisions, vcd) in SCENARIOS {
+        let bound = match flow {
+            FlowKind::Derived => 5_000,
+            FlowKind::Microprocessor => MICRO_RECOVERY_BOUND,
+        };
+        let (outcome, report) = run_scenario_observed(flow, program, bound, obs);
+        let canonical = scenario_canonical(&outcome, &report);
+        let name = format!("scenario {flow:?} {program:?}");
+        assert_golden(&name, 1, pinned, fnv1a64(canonical.as_bytes()), &canonical);
+        let got: Vec<(&str, u64)> = report
+            .witnesses
+            .iter()
+            .map(|w| {
+                (
+                    w.property.as_str(),
+                    w.decided_at.expect("witnesses are decided"),
+                )
+            })
+            .collect();
+        assert_eq!(got, decisions, "{name}: witness decisions");
+        let rendered = report.vcd.as_ref().expect("vcd enabled").render();
+        assert_eq!(
+            fnv1a64(rendered.as_bytes()),
+            vcd,
+            "{name}: VCD fingerprint {:#018x}",
+            fnv1a64(rendered.as_bytes())
         );
     }
 }
