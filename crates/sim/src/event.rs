@@ -1,9 +1,9 @@
 //! Events and notification kinds.
 //!
 //! Events follow SystemC semantics. An [`Event`] is a lightweight handle into
-//! the kernel's event table; notification comes in three flavours
-//! ([`Notify`]): immediate (same evaluate phase), delta (next delta cycle)
-//! and timed (a future simulation time).
+//! the kernel's event table; notification comes in two flavours
+//! ([`Notify`]): delta (next delta cycle) and timed (a future simulation
+//! time).
 
 use std::fmt;
 
@@ -46,8 +46,6 @@ impl fmt::Display for Event {
 /// How an event notification is delivered.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Notify {
-    /// Wake waiting processes in the current evaluate phase.
-    Immediate,
     /// Wake waiting processes in the next delta cycle (SystemC
     /// `notify(SC_ZERO_TIME)`).
     Delta,
@@ -80,7 +78,6 @@ mod tests {
 
     #[test]
     fn notify_kinds_are_distinct() {
-        assert_ne!(Notify::Immediate, Notify::Delta);
         assert_ne!(Notify::Delta, Notify::After(Duration::ZERO));
     }
 }

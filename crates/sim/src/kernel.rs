@@ -1,27 +1,21 @@
 //! The discrete-event simulation kernel.
 //!
-//! The scheduler follows SystemC's evaluate/update/notify structure:
+//! The scheduler follows SystemC's evaluate/notify structure:
 //!
-//! 1. **Evaluate** — resume every runnable process. Immediate notifications
-//!    wake processes within the same phase.
-//! 2. **Update** — apply pending signal writes; a changed value schedules the
-//!    signal's change event as a delta notification.
-//! 3. **Delta notify** — fire delta-notified events; woken processes run in
+//! 1. **Evaluate** — resume every runnable process.
+//! 2. **Delta notify** — fire delta-notified events; woken processes run in
 //!    the next delta cycle at the same simulation time.
-//! 4. When no delta work remains, advance to the earliest timed notification.
+//! 3. When no delta work remains, advance to the earliest timed notification.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
-use std::marker::PhantomData;
 
 use crate::event::{Event, EventRecord, Notify};
 use crate::process::{Activation, ProcSlot, ProcState, Process, ProcessId};
-use crate::signal::{AnySignal, SigInner, Signal, SignalId, SignalValue};
 use crate::time::{Duration, SimTime};
-use crate::trace::Tracer;
 
-/// Why a [`Simulation::run`] call returned.
+/// Why a [`Simulation::run_until`] call returned.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum RunOutcome {
     /// No runnable processes and no pending notifications remain.
@@ -83,7 +77,7 @@ impl KernelStats {
     }
 }
 
-/// The simulation kernel: owns events, signals, processes and the scheduler.
+/// The simulation kernel: owns events, processes and the scheduler.
 ///
 /// # Examples
 ///
@@ -100,17 +94,14 @@ pub struct Simulation {
     now: SimTime,
     events: Vec<EventRecord>,
     procs: Vec<ProcSlot>,
-    signals: Vec<Box<dyn AnySignal>>,
     runnable: VecDeque<ProcessId>,
     delta_notified: Vec<Event>,
-    update_queue: Vec<SignalId>,
     timed_events: BinaryHeap<Reverse<(SimTime, u64, Event)>>,
     timed_procs: BinaryHeap<Reverse<(SimTime, u64, ProcessId)>>,
     seq: u64,
     stop_requested: bool,
     delta_limit: u64,
     stats: KernelStats,
-    tracer: Tracer,
 }
 
 impl Default for Simulation {
@@ -126,17 +117,14 @@ impl Simulation {
             now: SimTime::ZERO,
             events: Vec::new(),
             procs: Vec::new(),
-            signals: Vec::new(),
             runnable: VecDeque::new(),
             delta_notified: Vec::new(),
-            update_queue: Vec::new(),
             timed_events: BinaryHeap::new(),
             timed_procs: BinaryHeap::new(),
             seq: 0,
             stop_requested: false,
             delta_limit: 1_000_000,
             stats: KernelStats::default(),
-            tracer: Tracer::new(),
         }
     }
 
@@ -156,20 +144,8 @@ impl Simulation {
         self.stats
     }
 
-    /// Returns the signal-change tracer.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    /// Bounds the signal trace to its most recent `cap` records
-    /// (ring-buffer mode, oldest dropped first); `None` restores
-    /// unbounded growth. See [`Tracer::set_capacity`].
-    pub fn set_trace_capacity(&mut self, cap: Option<usize>) {
-        self.tracer.set_capacity(cap);
-    }
-
     // ------------------------------------------------------------------
-    // Construction of events, signals, processes.
+    // Construction of events and processes.
     // ------------------------------------------------------------------
 
     /// Creates a named event.
@@ -192,98 +168,10 @@ impl Simulation {
         self.events[event.index()].fired
     }
 
-    /// Creates a named signal with an initial value.
-    pub fn create_signal<T: SignalValue>(&mut self, name: &str, initial: T) -> Signal<T> {
-        let changed = self.create_event(&format!("{name}.changed"));
-        let id = SignalId(self.signals.len() as u32);
-        self.signals.push(Box::new(SigInner {
-            name: name.to_owned(),
-            current: initial,
-            next: None,
-            changed,
-        }));
-        Signal {
-            id,
-            _marker: PhantomData,
-        }
-    }
-
-    /// Returns the current value of a signal.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the handle was created by a different simulation with an
-    /// incompatible value type.
-    pub fn signal_value<T: SignalValue>(&self, signal: Signal<T>) -> T {
-        self.sig_inner(signal).current.clone()
-    }
-
-    /// Returns the event that fires one delta after the signal changes value.
-    pub fn signal_changed_event<T: SignalValue>(&self, signal: Signal<T>) -> Event {
-        self.sig_inner(signal).changed
-    }
-
-    /// Overwrites a signal's value outside the scheduler (testbench
-    /// initialisation). Does not fire the change event.
-    pub fn force_signal<T: SignalValue>(&mut self, signal: Signal<T>, value: T) {
-        self.sig_inner_mut(signal).current = value;
-    }
-
-    fn sig_inner<T: SignalValue>(&self, signal: Signal<T>) -> &SigInner<T> {
-        self.signals[signal.id.index()]
-            .as_any()
-            .downcast_ref::<SigInner<T>>()
-            .expect("signal handle used with wrong value type")
-    }
-
-    fn sig_inner_mut<T: SignalValue>(&mut self, signal: Signal<T>) -> &mut SigInner<T> {
-        self.signals[signal.id.index()]
-            .as_any_mut()
-            .downcast_mut::<SigInner<T>>()
-            .expect("signal handle used with wrong value type")
-    }
-
-    /// Enables change tracing for a signal; see [`Tracer`].
-    pub fn trace_signal_id(&mut self, id: SignalId) {
-        let name = self.signals[id.index()].name().to_owned();
-        let value = self.signals[id.index()].value_string();
-        self.tracer.enable(id, name);
-        self.tracer.record(SimTime::ZERO, id, value);
-    }
-
-    /// Enables change tracing for a typed signal handle.
-    pub fn trace_signal<T: SignalValue>(&mut self, signal: Signal<T>) {
-        self.trace_signal_id(signal.id);
-    }
-
     /// Spawns a process with no static sensitivity. The process is runnable
     /// in the first delta cycle.
     pub fn spawn(&mut self, name: &str, body: Box<dyn Process>) -> ProcessId {
-        self.spawn_sensitive(name, body, Vec::new())
-    }
-
-    /// Spawns a process statically sensitive to the given events.
-    ///
-    /// The process is resumed once at simulation start (like an SystemC
-    /// thread before its first `wait()`), then according to its activations.
-    pub fn spawn_sensitive(
-        &mut self,
-        name: &str,
-        body: Box<dyn Process>,
-        static_sensitivity: Vec<Event>,
-    ) -> ProcessId {
-        let pid = ProcessId(self.procs.len() as u32);
-        for &event in &static_sensitivity {
-            self.events[event.index()].static_sensitive.push(pid);
-        }
-        self.procs.push(ProcSlot {
-            name: name.to_owned(),
-            body: Some(body),
-            state: ProcState::Runnable,
-            static_sensitivity,
-            dynamic_waits: Vec::new(),
-            resumes: 0,
-        });
+        let pid = self.push_process(name, body, ProcState::Runnable, false);
         self.runnable.push_back(pid);
         pid
     }
@@ -306,16 +194,26 @@ impl Simulation {
             !static_sensitivity.is_empty(),
             "a deferred process needs static sensitivity"
         );
-        let pid = ProcessId(self.procs.len() as u32);
-        for &event in &static_sensitivity {
+        let pid = self.push_process(name, body, ProcState::WaitingStatic, true);
+        for event in static_sensitivity {
             self.events[event.index()].static_sensitive.push(pid);
         }
+        pid
+    }
+
+    fn push_process(
+        &mut self,
+        name: &str,
+        body: Box<dyn Process>,
+        state: ProcState,
+        sensitive: bool,
+    ) -> ProcessId {
+        let pid = ProcessId(self.procs.len() as u32);
         self.procs.push(ProcSlot {
             name: name.to_owned(),
             body: Some(body),
-            state: ProcState::WaitingStatic,
-            static_sensitivity,
-            dynamic_waits: Vec::new(),
+            state,
+            sensitive,
             resumes: 0,
         });
         pid
@@ -343,7 +241,6 @@ impl Simulation {
     /// Notifies an event from outside process context (testbench code).
     pub fn notify(&mut self, event: Event, kind: Notify) {
         match kind {
-            Notify::Immediate => self.fire_event(event),
             Notify::Delta => self.delta_notified.push(event),
             Notify::After(d) => {
                 let at = self.now.saturating_add(d);
@@ -360,26 +257,13 @@ impl Simulation {
         let waiters = std::mem::take(&mut record.waiters);
         let static_sensitive = record.static_sensitive.clone();
         for pid in waiters {
-            self.wake(pid, event);
+            self.make_runnable(pid);
         }
         for pid in static_sensitive {
             if self.procs[pid.index()].state == ProcState::WaitingStatic {
                 self.make_runnable(pid);
             }
         }
-    }
-
-    fn wake(&mut self, pid: ProcessId, _cause: Event) {
-        let slot = &mut self.procs[pid.index()];
-        if slot.state != ProcState::WaitingEvents {
-            return;
-        }
-        // Deregister from any other events of a WaitAny.
-        let waits = std::mem::take(&mut slot.dynamic_waits);
-        for event in waits {
-            self.events[event.index()].waiters.retain(|&p| p != pid);
-        }
-        self.make_runnable(pid);
     }
 
     fn make_runnable(&mut self, pid: ProcessId) {
@@ -417,23 +301,8 @@ impl Simulation {
         let slot = &mut self.procs[pid.index()];
         match activation {
             Activation::WaitEvent(event) => {
-                slot.state = ProcState::WaitingEvents;
-                slot.dynamic_waits = vec![event];
+                slot.state = ProcState::WaitingEvent;
                 self.events[event.index()].waiters.push(pid);
-            }
-            Activation::WaitAny(events) => {
-                if events.is_empty() {
-                    // Nothing to wait for: treat as a terminated process
-                    // rather than leaving it unreachable forever.
-                    slot.state = ProcState::Terminated;
-                    slot.body = None;
-                    return;
-                }
-                slot.state = ProcState::WaitingEvents;
-                slot.dynamic_waits = events.clone();
-                for event in events {
-                    self.events[event.index()].waiters.push(pid);
-                }
             }
             Activation::WaitTime(d) => {
                 slot.state = ProcState::WaitingTime;
@@ -442,13 +311,13 @@ impl Simulation {
                 self.timed_procs.push(Reverse((at, self.seq, pid)));
             }
             Activation::WaitStatic => {
-                if slot.static_sensitivity.is_empty() {
+                if slot.sensitive {
+                    slot.state = ProcState::WaitingStatic;
+                } else {
                     // No static sensitivity means a plain wait() can never
                     // complete; terminate instead of deadlocking silently.
                     slot.state = ProcState::Terminated;
                     slot.body = None;
-                } else {
-                    slot.state = ProcState::WaitingStatic;
                 }
             }
             Activation::Terminate => {
@@ -458,7 +327,7 @@ impl Simulation {
         }
     }
 
-    /// Runs one delta cycle: evaluate, update, delta-notify.
+    /// Runs one delta cycle: evaluate, then delta-notify.
     /// Returns `true` if any process was resumed.
     fn delta_cycle(&mut self) -> bool {
         if self.runnable.is_empty() {
@@ -470,15 +339,6 @@ impl Simulation {
             self.resume_process(pid);
             if self.stop_requested {
                 break;
-            }
-        }
-        // Update phase.
-        let updates = std::mem::take(&mut self.update_queue);
-        for sid in updates {
-            if let Some(changed) = self.signals[sid.index()].apply_update() {
-                let value = self.signals[sid.index()].value_string();
-                self.tracer.record(self.now, sid, value);
-                self.delta_notified.push(changed);
             }
         }
         // Delta-notification phase.
@@ -519,7 +379,8 @@ impl Simulation {
         true
     }
 
-    /// Runs until quiescent, stopped, or past `limit`.
+    /// Runs until quiescent, stopped, or past `limit`. The limit is
+    /// inclusive: work scheduled exactly at `limit` runs in this call.
     ///
     /// # Errors
     ///
@@ -561,8 +422,8 @@ impl Simulation {
     ///
     /// See [`Simulation::run_until`].
     pub fn run_for(&mut self, d: Duration) -> Result<RunOutcome, RunError> {
-        // The limit is exclusive of the next instant: posedges exactly at
-        // `now + d` belong to the next run call.
+        // The limit is inclusive: posedges exactly at `now + d` fire in
+        // this call, not the next.
         self.run_until(self.now.saturating_add(d))
     }
 
@@ -582,7 +443,6 @@ impl fmt::Debug for Simulation {
             .field("now", &self.now)
             .field("events", &self.events.len())
             .field("processes", &self.procs.len())
-            .field("signals", &self.signals.len())
             .field("stats", &self.stats)
             .finish()
     }
@@ -611,27 +471,6 @@ impl<'a> ProcessContext<'a> {
         self.sim.notify(event, kind);
     }
 
-    /// Reads the current value of a signal (evaluate-phase semantics: writes
-    /// from this delta are not yet visible).
-    pub fn read<T: SignalValue>(&self, signal: Signal<T>) -> T {
-        self.sim.signal_value(signal)
-    }
-
-    /// Schedules a signal write for the update phase of this delta cycle.
-    pub fn write<T: SignalValue>(&mut self, signal: Signal<T>, value: T) {
-        let inner = self.sim.sig_inner_mut(signal);
-        let first_write = inner.next.is_none();
-        inner.next = Some(value);
-        if first_write {
-            self.sim.update_queue.push(signal.id);
-        }
-    }
-
-    /// Returns the change event of a signal, for use in wait activations.
-    pub fn changed_event<T: SignalValue>(&self, signal: Signal<T>) -> Event {
-        self.sim.signal_changed_event(signal)
-    }
-
     /// Requests that the whole simulation stop at the end of this evaluate
     /// phase (SystemC `sc_stop`).
     pub fn stop(&mut self) {
@@ -652,24 +491,6 @@ impl fmt::Debug for ProcessContext<'_> {
 mod tests {
     use super::*;
     use crate::event::Notify;
-
-    /// Process that counts how many times it is resumed by a wait-any set.
-    struct Counter {
-        waits: Vec<Event>,
-        count: u32,
-        max: u32,
-    }
-
-    impl Process for Counter {
-        fn resume(&mut self, _ctx: &mut ProcessContext<'_>) -> Activation {
-            self.count += 1;
-            if self.count > self.max {
-                Activation::Terminate
-            } else {
-                Activation::WaitAny(self.waits.clone())
-            }
-        }
-    }
 
     #[test]
     fn quiescent_on_empty_simulation() {
@@ -694,107 +515,7 @@ mod tests {
     }
 
     #[test]
-    fn signal_write_is_visible_one_delta_later() {
-        let mut sim = Simulation::new();
-        let sig = sim.create_signal("s", 0u32);
-        let mut observed_during_write = None;
-        let mut phase = 0;
-        sim.spawn(
-            "writer",
-            Box::new(move |ctx: &mut ProcessContext<'_>| {
-                phase += 1;
-                match phase {
-                    1 => {
-                        ctx.write(sig, 7);
-                        observed_during_write = Some(ctx.read(sig));
-                        Activation::WaitTime(Duration::ZERO)
-                    }
-                    _ => {
-                        assert_eq!(ctx.read(sig), 7, "update phase applies write");
-                        assert_eq!(
-                            observed_during_write,
-                            Some(0),
-                            "evaluate phase sees old value"
-                        );
-                        Activation::Terminate
-                    }
-                }
-            }),
-        );
-        sim.run_to_completion().unwrap();
-        assert_eq!(sim.signal_value(sig), 7);
-    }
-
-    #[test]
-    fn last_write_in_delta_wins() {
-        let mut sim = Simulation::new();
-        let sig = sim.create_signal("s", 0u32);
-        sim.spawn(
-            "writer",
-            Box::new(move |ctx: &mut ProcessContext<'_>| {
-                ctx.write(sig, 1);
-                ctx.write(sig, 2);
-                Activation::Terminate
-            }),
-        );
-        sim.run_to_completion().unwrap();
-        assert_eq!(sim.signal_value(sig), 2);
-    }
-
-    #[test]
-    fn signal_change_event_wakes_sensitive_process() {
-        let mut sim = Simulation::new();
-        let sig = sim.create_signal("s", false);
-        let changed = sim.signal_changed_event(sig);
-        let mut woken = 0u32;
-        let watcher = sim.spawn(
-            "watcher",
-            Box::new(move |_: &mut ProcessContext<'_>| {
-                woken += 1;
-                if woken >= 3 {
-                    Activation::Terminate
-                } else {
-                    Activation::WaitEvent(changed)
-                }
-            }),
-        );
-        let mut step = 0u32;
-        sim.spawn(
-            "driver",
-            Box::new(move |ctx: &mut ProcessContext<'_>| {
-                step += 1;
-                ctx.write(sig, step % 2 == 1);
-                if step >= 2 {
-                    Activation::Terminate
-                } else {
-                    Activation::WaitTime(Duration::from_ticks(1))
-                }
-            }),
-        );
-        sim.run_to_completion().unwrap();
-        // Woken once at start, then by two value changes.
-        assert_eq!(sim.process_resume_count(watcher), 3);
-        assert!(sim.process_terminated(watcher));
-    }
-
-    #[test]
-    fn write_of_equal_value_does_not_fire_change_event() {
-        let mut sim = Simulation::new();
-        let sig = sim.create_signal("s", 5u32);
-        let changed = sim.signal_changed_event(sig);
-        sim.spawn(
-            "writer",
-            Box::new(move |ctx: &mut ProcessContext<'_>| {
-                ctx.write(sig, 5);
-                Activation::Terminate
-            }),
-        );
-        sim.run_to_completion().unwrap();
-        assert_eq!(sim.event_fire_count(changed), 0);
-    }
-
-    #[test]
-    fn immediate_notify_wakes_in_same_delta() {
+    fn delta_notify_wakes_in_the_next_delta() {
         let mut sim = Simulation::new();
         let e = sim.create_event("go");
         let mut first = true;
@@ -812,43 +533,22 @@ mod tests {
         sim.spawn(
             "notifier",
             Box::new(move |ctx: &mut ProcessContext<'_>| {
-                ctx.notify(e, Notify::Immediate);
+                ctx.notify(e, Notify::Delta);
                 Activation::Terminate
             }),
         );
         sim.run_to_completion().unwrap();
         assert!(sim.process_terminated(waiter));
-        // Everything happened at time zero in one delta.
+        // The waiter ran again one delta later, still at time zero.
         assert_eq!(sim.now(), SimTime::ZERO);
-    }
-
-    #[test]
-    fn wait_any_deregisters_other_events() {
-        let mut sim = Simulation::new();
-        let a = sim.create_event("a");
-        let b = sim.create_event("b");
-        let counter = sim.spawn(
-            "counter",
-            Box::new(Counter {
-                waits: vec![a, b],
-                count: 0,
-                max: 2,
-            }),
-        );
-        sim.notify(a, Notify::After(Duration::from_ticks(1)));
-        sim.notify(b, Notify::After(Duration::from_ticks(1)));
-        sim.run_to_completion().unwrap();
-        // Resume 1 at t=0; both events fire at t=1 but the process must be
-        // woken exactly once for the pair, then waits again and is never
-        // woken a third time.
-        assert_eq!(sim.process_resume_count(counter), 2);
+        assert_eq!(sim.stats().delta_cycles, 2);
     }
 
     #[test]
     fn static_sensitivity_wakes_on_every_fire() {
         let mut sim = Simulation::new();
         let e = sim.create_event("tick");
-        let pid = sim.spawn_sensitive(
+        let pid = sim.spawn_deferred(
             "listener",
             Box::new(move |_: &mut ProcessContext<'_>| Activation::WaitStatic),
             vec![e],
@@ -857,7 +557,18 @@ mod tests {
             sim.notify(e, Notify::After(Duration::from_ticks(i)));
         }
         sim.run_to_completion().unwrap();
-        assert_eq!(sim.process_resume_count(pid), 5); // initial + 4 ticks
+        assert_eq!(sim.process_resume_count(pid), 4); // one per tick, none at start
+    }
+
+    #[test]
+    fn static_wait_without_sensitivity_terminates() {
+        let mut sim = Simulation::new();
+        let pid = sim.spawn(
+            "orphan",
+            Box::new(move |_: &mut ProcessContext<'_>| Activation::WaitStatic),
+        );
+        assert_eq!(sim.run_to_completion().unwrap(), RunOutcome::Quiescent);
+        assert!(sim.process_terminated(pid));
     }
 
     #[test]
@@ -894,10 +605,15 @@ mod tests {
     #[test]
     fn time_limit_outcome_when_work_remains() {
         let mut sim = Simulation::new();
+        let at_limit = sim.create_event("at-limit");
         let e = sim.create_event("later");
+        sim.notify(at_limit, Notify::After(Duration::from_ticks(10)));
         sim.notify(e, Notify::After(Duration::from_ticks(100)));
         let outcome = sim.run_until(SimTime::from_ticks(10)).unwrap();
         assert_eq!(outcome, RunOutcome::TimeLimit);
+        // The limit is inclusive: the notification exactly at it fires.
+        assert_eq!(sim.event_fire_count(at_limit), 1);
+        assert_eq!(sim.now(), SimTime::from_ticks(10));
         assert_eq!(sim.event_fire_count(e), 0);
     }
 

@@ -4,12 +4,10 @@
 //! SystemC Temporal Checker (SCTC) of the DATE 2008 paper relies on:
 //!
 //! * simulation time in abstract ticks ([`SimTime`], [`Duration`]),
-//! * [`Event`]s with immediate / delta / timed notification ([`Notify`]),
+//! * [`Event`]s with delta / timed notification ([`Notify`]),
 //! * cooperative [`Process`]es resumed by the kernel, yielding
-//!   [`Activation`]s (wait-on-event, wait-any, wait-for-time, static wait),
-//! * [`Signal`]s with evaluate/update (delta-cycle) semantics,
-//! * free-running [`Clock`]s with posedge/negedge events,
-//! * a value-change [`Tracer`].
+//!   [`Activation`]s (wait-on-event, wait-for-time, static wait),
+//! * free-running [`Clock`]s with posedge/negedge events.
 //!
 //! The scheduler is single-threaded and deterministic: given the same model
 //! and spawn order, runs are bit-for-bit reproducible.
@@ -24,12 +22,12 @@
 //! let done = sim.create_event("done");
 //!
 //! let mut cycles = 0;
-//! sim.spawn_sensitive(
+//! sim.spawn_deferred(
 //!     "counter",
 //!     Box::new(move |ctx: &mut ProcessContext<'_>| {
 //!         cycles += 1;
 //!         if cycles == 5 {
-//!             ctx.notify(done, Notify::Immediate);
+//!             ctx.notify(done, Notify::Delta);
 //!             // Stop the simulation: the free-running clock would
 //!             // otherwise keep it alive forever.
 //!             ctx.stop();
@@ -42,6 +40,8 @@
 //!
 //! sim.run_to_completion().unwrap();
 //! assert_eq!(sim.event_fire_count(done), 1);
+//! // Posedges at t = 0, 10, 20, 30, 40.
+//! assert_eq!(sim.now().ticks(), 40);
 //! ```
 
 #![warn(missing_docs)]
@@ -51,14 +51,10 @@ mod clock;
 mod event;
 mod kernel;
 mod process;
-mod signal;
 mod time;
-mod trace;
 
 pub use clock::Clock;
 pub use event::{Event, Notify};
 pub use kernel::{KernelStats, ProcessContext, RunError, RunOutcome, Simulation};
 pub use process::{Activation, Process, ProcessId};
-pub use signal::{Signal, SignalId, SignalValue};
 pub use time::{Duration, SimTime};
-pub use trace::{TraceRecord, Tracer};

@@ -29,12 +29,10 @@ impl fmt::Display for ProcessId {
 }
 
 /// What a process wants to do after a resume step.
-#[derive(Clone, Debug)]
+#[derive(Copy, Clone, Debug)]
 pub enum Activation {
     /// Suspend until the given event fires.
     WaitEvent(Event),
-    /// Suspend until any of the given events fires.
-    WaitAny(Vec<Event>),
     /// Suspend for a simulation-time span. A zero duration suspends until the
     /// next timed phase at the current time (after all pending delta cycles).
     WaitTime(Duration),
@@ -49,7 +47,7 @@ pub enum Activation {
 ///
 /// Implementors run a bounded amount of work per [`resume`](Process::resume)
 /// call and then return an [`Activation`]. All interaction with the kernel
-/// (event notification, signal access, time queries) goes through the
+/// (event notification, time queries, stop requests) goes through the
 /// [`ProcessContext`].
 ///
 /// # Examples
@@ -102,8 +100,8 @@ where
 pub(crate) enum ProcState {
     /// In the runnable queue (or about to be resumed).
     Runnable,
-    /// Waiting on one or more dynamic events.
-    WaitingEvents,
+    /// Waiting on one dynamic event.
+    WaitingEvent,
     /// Waiting for a timed wake-up.
     WaitingTime,
     /// Waiting on static sensitivity.
@@ -116,11 +114,9 @@ pub(crate) struct ProcSlot {
     pub(crate) name: String,
     pub(crate) body: Option<Box<dyn Process>>,
     pub(crate) state: ProcState,
-    /// Events this process is statically sensitive to.
-    pub(crate) static_sensitivity: Vec<Event>,
-    /// Events this process is currently dynamically registered with, so the
-    /// kernel can deregister after a `WaitAny` wake-up.
-    pub(crate) dynamic_waits: Vec<Event>,
+    /// Whether the process has static sensitivity, so a `WaitStatic` can
+    /// ever complete.
+    pub(crate) sensitive: bool,
     pub(crate) resumes: u64,
 }
 
@@ -145,11 +141,12 @@ mod tests {
     }
 
     #[test]
-    fn activation_is_cloneable() {
-        let a = Activation::WaitAny(vec![Event(0), Event(1)]);
-        match a.clone() {
-            Activation::WaitAny(v) => assert_eq!(v.len(), 2),
-            other => panic!("unexpected activation {other:?}"),
+    fn activation_is_copy() {
+        let a = Activation::WaitEvent(Event(1));
+        let b = a;
+        match (a, b) {
+            (Activation::WaitEvent(x), Activation::WaitEvent(y)) => assert_eq!(x, y),
+            other => panic!("unexpected activations {other:?}"),
         }
     }
 }

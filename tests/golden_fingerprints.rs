@@ -15,12 +15,17 @@
 //! They sit outside every fingerprint, yet they are what the performance
 //! ledger's `core.*` rows read, so a checker shortcut that skips work
 //! must still count exactly what the per-sample path counts.
+//!
+//! The campaigns' scheduler counters ([`KernelStats`]) are pinned beside
+//! them: the ledger's `sim.*` rows read them, and a kernel change that
+//! moves a resume, a delta cycle or a time advance must say so here.
 
 use esw_verify::campaign::{run_campaign, CampaignFingerprint, CampaignSpec, FlowKind};
 use esw_verify::cpu::IsaKind;
 use esw_verify::faults::scenario::{run_scenario_observed, ScenarioObs};
 use esw_verify::faults::{run_fault_campaign, EswProgram, FaultCampaignSpec};
 use esw_verify::sctc::{MonitorCounters, WitnessConfig};
+use esw_verify::sim::KernelStats;
 use esw_verify::smc::{run_smc_campaign, SmcSpec};
 use esw_verify::temporal::fnv1a64;
 
@@ -45,6 +50,10 @@ const SMC_PLANTED_TORN_MICRO: u64 = 0x89a2_b620_2c4e_4ad4;
 /// same on both encodings.
 const DERIVED_CAMPAIGN_WORK: (u64, MonitorCounters) = (5653, counters(9702, 79142, 38751, 1454));
 const MICRO_CAMPAIGN_WORK: (u64, MonitorCounters) = (7704, counters(2115, 107856, 53784, 312));
+/// Scheduler counters of each pinned campaign, summed over its shard
+/// kernels: resumes, delta cycles, events fired, time advances.
+const DERIVED_CAMPAIGN_KERNEL: KernelStats = kernel(11398, 11394, 5737, 5653);
+const MICRO_CAMPAIGN_KERNEL: KernelStats = kernel(30942, 23208, 15471, 15468);
 const MICRO_FAULT_MATRIX_WORK: MonitorCounters = counters(14, 16974, 11310, 10);
 /// SMC reports merge the counters of the accepted samples only, which the
 /// canonical-order fold makes independent of the job count.
@@ -112,6 +121,20 @@ const fn counters(
     }
 }
 
+const fn kernel(
+    resumes: u64,
+    delta_cycles: u64,
+    events_fired: u64,
+    time_advances: u64,
+) -> KernelStats {
+    KernelStats {
+        resumes,
+        delta_cycles,
+        events_fired,
+        time_advances,
+    }
+}
+
 /// Every field of a campaign fingerprint, one per line, in a fixed order.
 fn campaign_canonical(fp: &CampaignFingerprint) -> String {
     let mut out = format!(
@@ -148,7 +171,13 @@ fn assert_work<T: PartialEq + std::fmt::Debug>(name: &str, jobs: usize, pinned: 
     );
 }
 
-fn check_campaign(name: &str, spec: &CampaignSpec, pinned: u64, work: (u64, MonitorCounters)) {
+fn check_campaign(
+    name: &str,
+    spec: &CampaignSpec,
+    pinned: u64,
+    work: (u64, MonitorCounters),
+    kernel: KernelStats,
+) {
     for jobs in JOBS {
         let report = run_campaign(&spec.clone().with_jobs(jobs));
         let canonical = campaign_canonical(&report.fingerprint());
@@ -160,6 +189,11 @@ fn check_campaign(name: &str, spec: &CampaignSpec, pinned: u64, work: (u64, Moni
             &canonical,
         );
         assert_work(name, jobs, work, (report.samples, report.monitoring));
+        assert_eq!(
+            report.kernel, kernel,
+            "{name} at jobs={jobs}: kernel counters {:?} != pinned {kernel:?}",
+            report.kernel
+        );
     }
 }
 
@@ -171,6 +205,7 @@ fn derived_campaign_matches_its_golden_fingerprint() {
         &spec,
         DERIVED_CAMPAIGN,
         DERIVED_CAMPAIGN_WORK,
+        DERIVED_CAMPAIGN_KERNEL,
     );
 }
 
@@ -183,6 +218,7 @@ fn micro_campaigns_match_their_golden_fingerprints_on_both_encodings() {
             &spec,
             MICRO_CAMPAIGN,
             MICRO_CAMPAIGN_WORK,
+            MICRO_CAMPAIGN_KERNEL,
         );
     }
 }
