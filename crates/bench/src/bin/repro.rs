@@ -1,177 +1,127 @@
-//! `repro` — regenerates every table and figure of the paper's evaluation.
+//! `repro` — regenerates the tables of the paper's evaluation and runs the
+//! diagnosis demo and the two performance gates.
 //!
 //! ```text
-//! repro [--fig7] [--fig8] [--speedup] [--tb-sweep] [--campaign] [--faults]
-//!       [--smc] [--monitor-bench] [--witness-demo] [--serve-bench]
-//!       [--telemetry-bench] [--all]
+//! repro [--fig7] [--fig8] [--speedup] [--tb-sweep] [--witness-demo]
+//!       [--serve-bench] [--telemetry-bench] [--all]
 //!       [--jobs N] [--micro-cases N] [--derived-cases N] [--seed S]
-//!       [--budget SECS] [--json=false] [--vcd PATH] [--profile]
+//!       [--budget SECS] [--vcd PATH]
 //! ```
 //!
-//! With no table flags, `--all` is assumed. Numbers are scaled-down local
+//! With no section flags, `--all` is assumed. Numbers are scaled-down local
 //! measurements; compare shapes against the paper (see EXPERIMENTS.md).
 //! The simulation-based sections run as sharded campaigns over `--jobs`
 //! worker threads (default: all cores); the worker count changes
-//! wall-clock only, never a verdict or a coverage number. `--campaign`
-//! additionally writes the machine-readable `BENCH_campaign.json`;
-//! `--faults` runs the fault-injection campaigns of both flows, enforces
-//! that the serial and parallel detection matrices are fingerprint-
-//! identical, and writes `BENCH_faults.json`. `--smc` runs the
-//! statistical model-checking campaigns (Wald's SPRT over a planted
-//! failure rate), enforces that serial and parallel report fingerprints
-//! are identical *and* that the sequential test undercuts the
-//! fixed-sample Chernoff budget, and writes `BENCH_smc.json`.
-//! `--monitor-bench` runs every campaign family under both monitoring
-//! engines (the change-driven compiled kernel and the naive reference)
-//! with alternating-order min-of-4 timing, enforces that their result
-//! fingerprints are identical, and writes `BENCH_monitoring.json`.
-//! `--witness-demo` runs the torn-write
-//! power-loss scenario with the diagnosis layer on under both flows,
-//! prints the counterexample witnesses, validates the VCD round-trip and
-//! the witness replay, measures the span profiler's overhead, and writes
-//! `BENCH_obs.json` (plus the waveform to `--vcd PATH`). `--serve-bench`
-//! spawns the verification service over loopback, hammers it with
-//! closed-loop clients drawing a small repeat-heavy job pool, verifies
-//! every served digest against the same job run in-process, enforces that
-//! cache hits are at least 10x faster than cold runs, and writes
-//! `BENCH_server.json`. `--telemetry-bench` times the standard derived
-//! campaign with the trace plane disabled and enabled (min-of-10,
-//! alternating order), enforces that every on/off fingerprint pair is
-//! bit-identical, **fails the run if the enabled overhead exceeds 3%**,
-//! and writes `BENCH_telemetry.json` plus the flight-recorder log as
-//! chrome://tracing-loadable `trace.json`. Every JSON artifact goes to
-//! its fixed file name in the working directory; `--json=false`
-//! suppresses them all and leaves only the readable tables.
+//! wall-clock only, never a verdict or a coverage number.
+//!
+//! `--witness-demo` runs the torn-write power-loss scenario with the
+//! diagnosis layer and the span profiler on under both flows, prints the
+//! counterexample witnesses, and fails unless each witness replays to the
+//! same deciding sample, the VCD verdict channel falls at that sample, and
+//! the provenance names the deciding write; `--vcd PATH` saves the derived
+//! flow's waveform. `--serve-bench` loads the verification service over
+//! loopback with closed-loop clients and fails unless every served digest
+//! matches the same job run in-process, the repeat-heavy pool produces
+//! cache hits, and hits are at least 10x faster than cold jobs.
+//! `--telemetry-bench` times a derived campaign with the trace plane off
+//! and on (min-of-10, alternating order), fails if the enabled overhead
+//! exceeds 3%, and writes the flight-recorder log as
+//! chrome://tracing-loadable `trace.json`. Malformed arguments print the
+//! usage line and exit with status 2.
 
 use std::time::Duration;
 
 use sctc_bench::{
-    campaign_bench, decode_bench, faults_bench, fig7, fig8, monitor_bench, obs_bench,
-    render_campaign_bench_json, render_chrome_trace,
-    render_faults_bench_json, render_monitoring_bench_json, render_obs_json,
-    render_server_bench_json, render_smc_bench_json, render_telemetry_json, secs, serve_bench,
-    smc_bench, speedup, tb_sweep, telemetry_bench, witness_demo, Scale,
+    fig7, fig8, render_chrome_trace, secs, serve_bench, speedup, tb_sweep, telemetry_bench,
+    witness_demo, Scale,
 };
 use sctc_campaign::resolve_jobs;
 
+const USAGE: &str = "repro [--fig7] [--fig8] [--speedup] [--tb-sweep] [--witness-demo]
+      [--serve-bench] [--telemetry-bench] [--all] [--jobs N]
+      [--micro-cases N] [--derived-cases N] [--seed S] [--budget SECS]
+      [--vcd PATH]";
+
+#[derive(Default)]
 struct Args {
     fig7: bool,
     fig8: bool,
     speedup: bool,
     tb_sweep: bool,
-    campaign: bool,
-    faults: bool,
-    smc: bool,
-    monitor: bool,
     witness: bool,
     serve: bool,
     telemetry: bool,
-    profile: bool,
-    write_json: bool,
     vcd_path: Option<String>,
     scale: Scale,
 }
 
+impl Args {
+    fn any_section(&self) -> bool {
+        self.fig7
+            || self.fig8
+            || self.speedup
+            || self.tb_sweep
+            || self.witness
+            || self.serve
+            || self.telemetry
+    }
+
+    fn select_all(&mut self) {
+        self.fig7 = true;
+        self.fig8 = true;
+        self.speedup = true;
+        self.tb_sweep = true;
+        self.witness = true;
+        self.serve = true;
+        self.telemetry = true;
+    }
+}
+
+/// Reports a malformed command line: the problem and the usage line go to
+/// stderr, and the process exits with status 2.
+fn usage_error(problem: &str) -> ! {
+    eprintln!("{problem}\nusage: {USAGE}");
+    std::process::exit(2);
+}
+
 fn parse_args() -> Args {
-    let mut args = Args {
-        fig7: false,
-        fig8: false,
-        speedup: false,
-        tb_sweep: false,
-        campaign: false,
-        faults: false,
-        smc: false,
-        monitor: false,
-        witness: false,
-        serve: false,
-        telemetry: false,
-        profile: false,
-        write_json: true,
-        vcd_path: None,
-        scale: Scale::default(),
-    };
+    let mut args = Args::default();
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         let mut next_u64 = |name: &str| -> u64 {
             it.next()
                 .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("{name} expects a number"))
+                .unwrap_or_else(|| usage_error(&format!("{name} expects a number")))
         };
         match arg.as_str() {
             "--fig7" => args.fig7 = true,
             "--fig8" => args.fig8 = true,
             "--speedup" => args.speedup = true,
             "--tb-sweep" => args.tb_sweep = true,
-            "--campaign" => args.campaign = true,
-            "--faults" => args.faults = true,
-            "--smc" => args.smc = true,
-            "--monitor-bench" => args.monitor = true,
             "--witness-demo" => args.witness = true,
             "--serve-bench" => args.serve = true,
             "--telemetry-bench" => args.telemetry = true,
-            "--profile" => args.profile = true,
-            "--all" => {
-                args.fig7 = true;
-                args.fig8 = true;
-                args.speedup = true;
-                args.tb_sweep = true;
-                args.campaign = true;
-                args.faults = true;
-                args.smc = true;
-                args.monitor = true;
-                args.witness = true;
-                args.serve = true;
-                args.telemetry = true;
-            }
+            "--all" => args.select_all(),
             "--jobs" => args.scale.jobs = next_u64("--jobs") as usize,
             "--micro-cases" => args.scale.micro_cases = next_u64("--micro-cases"),
             "--derived-cases" => args.scale.derived_cases = next_u64("--derived-cases"),
             "--seed" => args.scale.seed = next_u64("--seed"),
             "--budget" => args.scale.checker_budget = Duration::from_secs(next_u64("--budget")),
-            "--json=false" => args.write_json = false,
-            "--json=true" => args.write_json = true,
             "--vcd" => {
-                args.vcd_path = Some(it.next().expect("--vcd expects a path"));
+                let path = it
+                    .next()
+                    .unwrap_or_else(|| usage_error("--vcd expects a path"));
+                args.vcd_path = Some(path);
             }
             "--help" | "-h" => {
-                println!(
-                    "repro [--fig7] [--fig8] [--speedup] [--tb-sweep] [--campaign] [--faults]\n      \
-                     [--smc] [--monitor-bench] [--witness-demo] [--serve-bench]\n      \
-                     [--telemetry-bench] [--all] [--jobs N]\n      \
-                     [--micro-cases N] [--derived-cases N] [--seed S] [--budget SECS]\n      \
-                     [--json=false] [--vcd PATH] [--profile]"
-                );
+                println!("{USAGE}");
                 std::process::exit(0);
             }
-            other => {
-                eprintln!("unknown argument `{other}` (try --help)");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument `{other}`")),
         }
     }
-    if !(args.fig7
-        || args.fig8
-        || args.speedup
-        || args.tb_sweep
-        || args.campaign
-        || args.faults
-        || args.smc
-        || args.monitor
-        || args.witness
-        || args.serve
-        || args.telemetry)
-    {
-        args.fig7 = true;
-        args.fig8 = true;
-        args.speedup = true;
-        args.tb_sweep = true;
-        args.campaign = true;
-        args.faults = true;
-        args.smc = true;
-        args.monitor = true;
-        args.witness = true;
-        args.serve = true;
-        args.telemetry = true;
+    if !args.any_section() {
+        args.select_all();
     }
     args
 }
@@ -284,303 +234,9 @@ fn main() {
         );
     }
 
-    if args.campaign {
-        println!("== Parallel campaigns: jobs=1 vs jobs={jobs} ==");
-        let rows = campaign_bench(args.scale);
-        println!(
-            "{:<8} {:<9} {:>5} {:>8} {:>9} {:>10} {:>10} {:>10} {:>6} {:>8}",
-            "flow",
-            "config",
-            "jobs",
-            "cases",
-            "wall(s)",
-            "synth(s)",
-            "cases/s",
-            "hit rate",
-            "viol",
-            "C.(%)"
-        );
-        for row in &rows {
-            println!(
-                "{:<8} {:<9} {:>5} {:>8} {:>9} {:>10} {:>10.0} {:>9.0}% {:>6} {:>8.1}",
-                row.flow,
-                row.config,
-                row.jobs,
-                row.test_cases,
-                secs(row.wall),
-                secs(row.synthesis_wall),
-                row.cases_per_sec,
-                100.0 * row.cache_hit_rate,
-                row.violations,
-                row.coverage
-            );
-        }
-        for (serial, parallel) in rows.iter().filter(|r| r.jobs == 1).filter_map(|s| {
-            rows.iter()
-                .find(|p| p.jobs != 1 && p.flow == s.flow && p.config == s.config)
-                .map(|p| (s, p))
-        }) {
-            println!(
-                "{} {}: {:.2}x speedup at jobs={} (identical verdicts/coverage by construction)",
-                serial.flow,
-                serial.config,
-                serial.wall.as_secs_f64() / parallel.wall.as_secs_f64().max(1e-9),
-                parallel.jobs
-            );
-        }
-        if args.write_json {
-            write_artifact("BENCH_campaign.json", &render_campaign_bench_json(&rows));
-        }
-    }
-
-    if args.faults {
-        println!("== Fault injection & recovery: jobs=1 vs jobs={jobs} ==");
-        let rows = faults_bench(args.scale);
-        println!(
-            "{:<8} {:>5} {:>8} {:>9} {:>7} {:>6} {:>5} {:>5} {:>5} {:>5} {:>10} {:>8}",
-            "flow",
-            "jobs",
-            "cases",
-            "wall(s)",
-            "planned",
-            "fired",
-            "det",
-            "cuts",
-            "rec",
-            "corr",
-            "recovery",
-            "intact"
-        );
-        for row in &rows {
-            println!(
-                "{:<8} {:>5} {:>8} {:>9} {:>7} {:>6} {:>5} {:>5} {:>5} {:>5} {:>10} {:>8}",
-                row.flow,
-                row.jobs,
-                row.test_cases,
-                secs(row.wall),
-                row.planned,
-                row.fired,
-                row.detected,
-                row.power_losses,
-                row.recovered,
-                row.corrupted,
-                row.recovery_verdict,
-                row.intact_verdict
-            );
-        }
-        // Worker-count independence is a hard guarantee, not a hope:
-        // refuse to write benchmark artifacts from a broken merge.
-        let mut broken = false;
-        for serial in rows.iter().filter(|r| r.jobs == 1) {
-            for parallel in rows.iter().filter(|p| p.jobs != 1 && p.flow == serial.flow) {
-                if serial.fingerprint != parallel.fingerprint {
-                    eprintln!(
-                        "FAIL: {} fault matrix diverges between jobs=1 ({}) and jobs={} ({})",
-                        serial.flow, serial.fingerprint, parallel.jobs, parallel.fingerprint
-                    );
-                    broken = true;
-                } else {
-                    println!(
-                        "{}: matrix fingerprint {} identical at jobs=1 and jobs={}",
-                        serial.flow, serial.fingerprint, parallel.jobs
-                    );
-                }
-            }
-        }
-        if broken {
-            std::process::exit(1);
-        }
-        println!("\n-- derived-flow detection matrix (jobs={jobs}) --");
-        let report = faults::run_fault_campaign(
-            &faults::FaultCampaignSpec::derived(args.scale.derived_cases, args.scale.seed)
-                .with_jobs(args.scale.jobs),
-        );
-        println!("{}", report.matrix.to_table());
-        if args.write_json {
-            write_artifact("BENCH_faults.json", &render_faults_bench_json(&rows));
-        }
-    }
-
-    if args.smc {
-        println!("== Statistical model checking: SPRT vs Chernoff budget, jobs=1 vs jobs={jobs} ==");
-        let rows = smc_bench(args.scale);
-        println!(
-            "{:<16} {:>6} {:>5} {:>10} {:>8} {:>8} {:>7} {:>8} {:>7} {:>6} {:>9}",
-            "query",
-            "theta",
-            "jobs",
-            "verdict",
-            "samples",
-            "chernoff",
-            "p_hat",
-            "issued",
-            "disc",
-            "wall",
-            "saved"
-        );
-        for row in &rows {
-            println!(
-                "{:<16} {:>6.3} {:>5} {:>10} {:>8} {:>8} {:>7.4} {:>8} {:>7} {:>6} {:>9}",
-                row.label,
-                row.theta,
-                row.jobs,
-                row.verdict,
-                row.samples,
-                row.chernoff_bound,
-                row.p_hat,
-                row.issued,
-                row.discarded,
-                secs(row.wall),
-                row.chernoff_bound.saturating_sub(row.samples)
-            );
-        }
-        // Two hard guarantees gate the artifact: the report must be
-        // worker-count independent, and the sequential test must actually
-        // beat the fixed-sample budget it exists to undercut.
-        let mut broken = false;
-        for serial in rows.iter().filter(|r| r.jobs == 1) {
-            for parallel in rows.iter().filter(|p| p.jobs != 1 && p.label == serial.label) {
-                if serial.fingerprint != parallel.fingerprint {
-                    eprintln!(
-                        "FAIL: {} report diverges between jobs=1 ({}) and jobs={} ({})",
-                        serial.label, serial.fingerprint, parallel.jobs, parallel.fingerprint
-                    );
-                    broken = true;
-                } else {
-                    println!(
-                        "{}: report fingerprint {} identical at jobs=1 and jobs={}",
-                        serial.label, serial.fingerprint, parallel.jobs
-                    );
-                }
-            }
-        }
-        for row in rows.iter().filter(|r| r.method == "sprt") {
-            if row.verdict == "undecided" {
-                eprintln!(
-                    "FAIL: {} left undecided after {} samples (budget {})",
-                    row.label, row.samples, row.chernoff_bound
-                );
-                broken = true;
-            }
-            if row.samples >= row.chernoff_bound {
-                eprintln!(
-                    "FAIL: {} spent {} samples, no better than the Chernoff bound {}",
-                    row.label, row.samples, row.chernoff_bound
-                );
-                broken = true;
-            }
-        }
-        if broken {
-            std::process::exit(1);
-        }
-        if let Some(row) = rows.first() {
-            println!(
-                "\nearly stopping: {} decided \"{}\" in {} samples vs a {}-sample fixed budget",
-                row.label, row.verdict, row.samples, row.chernoff_bound
-            );
-        }
-        println!("\n-- fails-direction report (jobs={jobs}) --");
-        let report = sctc_smc::run_smc_campaign(
-            &sctc_smc::SmcSpec::planted_torn(
-                sctc_campaign::FlowKind::Derived,
-                100,
-                args.scale.seed,
-            )
-            .with_query(sctc_smc::SmcQuery::new(0.95, 0.025))
-            .with_jobs(args.scale.jobs),
-        );
-        println!("{}", report.to_table());
-        if args.write_json {
-            write_artifact("BENCH_smc.json", &render_smc_bench_json(&rows));
-        }
-    }
-
-    if args.monitor {
-        println!("== Monitoring engines: compiled vs naive ==");
-        let rows = monitor_bench(args.scale);
-        println!(
-            "{:<18} {:<9} {:<8} {:>8} {:>12} {:>6} {:>12} {:>9} {:>9} {:>6} {:>6}",
-            "campaign",
-            "config",
-            "flow",
-            "cases",
-            "atoms eval",
-            "eval%",
-            "compressed",
-            "compl(s)",
-            "naive(s)",
-            "n/c",
-            "equal"
-        );
-        let mut diverged = false;
-        for row in &rows {
-            let pct = if row.compiled.atoms_total == 0 {
-                0.0
-            } else {
-                100.0 * row.compiled.atoms_evaluated as f64 / row.compiled.atoms_total as f64
-            };
-            let ratio = row.naive_wall.as_secs_f64() / row.compiled_wall.as_secs_f64().max(1e-9);
-            println!(
-                "{:<18} {:<9} {:<8} {:>8} {:>12} {:>5.1}% {:>12} {:>9} {:>9} {:>6.2} {:>6}",
-                row.campaign,
-                row.config,
-                row.flow,
-                row.cases,
-                row.compiled.atoms_evaluated,
-                pct,
-                row.compiled.steps_compressed,
-                secs(row.compiled_wall),
-                secs(row.naive_wall),
-                ratio,
-                row.fingerprints_equal
-            );
-            if !row.fingerprints_equal {
-                eprintln!(
-                    "FAIL: {} {} ({}) — monitoring engines diverge",
-                    row.campaign, row.config, row.flow
-                );
-                diverged = true;
-            }
-        }
-        println!("\n-- instruction decode on the clocked SoC, per encoding --");
-        let (decode_rows, decode_equal) = decode_bench();
-        println!(
-            "{:<14} {:<7} {:>10} {:>12} {:>9} {:>14}",
-            "variant", "isa", "text(B)", "cycles", "wall(s)", "cycles/s"
-        );
-        for row in &decode_rows {
-            println!(
-                "{:<14} {:<7} {:>10} {:>12} {:>9} {:>14.0}",
-                row.variant,
-                row.isa,
-                row.text_bytes,
-                row.cycles,
-                secs(row.wall),
-                row.cycles_per_sec
-            );
-        }
-        if !decode_equal {
-            eprintln!("FAIL: decode bench — the two encodings serve different values");
-            diverged = true;
-        }
-        // Engine equivalence is the pipeline's hard contract: refuse to
-        // publish benchmark numbers from diverging engines.
-        if diverged {
-            std::process::exit(1);
-        }
-        println!(
-            "(result fingerprints identical across both engines; walls are\n\
-             min-of-4 with alternating engine order; n/c is naive/compiled)"
-        );
-        if args.write_json {
-            let doc = render_monitoring_bench_json(&rows, &decode_rows, decode_equal);
-            write_artifact("BENCH_monitoring.json", &doc);
-        }
-    }
-
     if args.witness {
         println!("== Diagnosis layer: witnesses, VCD, profiler ==");
-        let demos = witness_demo(args.profile);
+        let demos = witness_demo();
         let mut failed = false;
         for demo in &demos {
             println!(
@@ -595,10 +251,8 @@ fn main() {
             print!("{}", demo.witness_report);
             println!("monitoring counters:");
             print!("{}", demo.report.monitoring);
-            if !demo.report.spans.is_empty() {
-                println!("span profile:");
-                print!("{}", demo.report.spans);
-            }
+            println!("span profile:");
+            print!("{}", demo.report.spans);
             println!();
             if !demo.ok() {
                 eprintln!("FAIL: {} flow diagnosis checks did not all pass", demo.flow);
@@ -614,23 +268,6 @@ fn main() {
                 .map(|d| d.vcd_text.clone())
                 .unwrap_or_default();
             write_artifact(path, &text);
-        }
-        let obs = obs_bench(args.scale);
-        println!(
-            "profiler overhead: plain {} s, profiled {} s ({:+.2}% on {} cases; disabled = 0 by construction)",
-            secs(obs.plain_wall),
-            secs(obs.profiled_wall),
-            obs.overhead_percent,
-            obs.cases
-        );
-        if !obs.spans.is_empty() {
-            println!("span profile (merged over shards):");
-            print!("{}", obs.spans);
-        }
-        println!("metrics registry snapshot:");
-        print!("{}", obs.metrics);
-        if args.write_json {
-            write_artifact("BENCH_obs.json", &render_obs_json(&obs, &demos));
         }
         if failed {
             std::process::exit(1);
@@ -693,9 +330,6 @@ fn main() {
             "(all {} served digests match their in-process runs; cache hits are {:.1}x faster than cold)",
             report.jobs_done, report.speedup
         );
-        if args.write_json {
-            write_artifact("BENCH_server.json", &render_server_bench_json(&report));
-        }
     }
 
     if args.telemetry {
@@ -709,14 +343,11 @@ fn main() {
             report.overhead_percent
         );
         println!(
-            "{} events recorded on the last enabled run; all on/off fingerprints bit-identical",
+            "{} events recorded on the last enabled run; on/off fingerprints bit-identical",
             report.events.len()
         );
-        if args.write_json {
-            write_artifact("BENCH_telemetry.json", &render_telemetry_json(&report));
-            // Loadable in chrome://tracing.
-            write_artifact("trace.json", &render_chrome_trace(&report.events));
-        }
+        // Loadable in chrome://tracing.
+        write_artifact("trace.json", &render_chrome_trace(&report.events));
         if report.overhead_percent > 3.0 {
             eprintln!(
                 "FAIL: telemetry overhead must stay <= 3% (got {:.2}%)",

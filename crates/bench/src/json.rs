@@ -1,9 +1,9 @@
-//! A minimal JSON emitter for machine-readable bench artifacts.
+//! A minimal JSON emitter for the chrome://tracing export (`trace.json`).
 //!
 //! The workspace builds with no registry access (CARGO_NET_OFFLINE), so
-//! there is no serde; this writer covers exactly what the bench documents
-//! need — objects, arrays, strings, finite numbers, null — and always
-//! produces valid, pretty-printed JSON.
+//! there is no serde; this writer covers exactly what that document
+//! needs — objects, arrays, strings, numbers (non-finite ones as `null`) —
+//! and always produces valid, pretty-printed JSON.
 
 /// Streaming JSON writer. Call the structural methods in document order
 /// and [`JsonWriter::finish`] at the end.
@@ -124,18 +124,6 @@ impl JsonWriter {
         }
     }
 
-    /// Emits `null`.
-    pub fn null(&mut self) {
-        self.before_value();
-        self.out.push_str("null");
-    }
-
-    /// Emits `true`/`false`.
-    pub fn boolean(&mut self, value: bool) {
-        self.before_value();
-        self.out.push_str(if value { "true" } else { "false" });
-    }
-
     /// Returns the finished document with a trailing newline.
     pub fn finish(mut self) -> String {
         self.out.push('\n');
@@ -175,10 +163,6 @@ mod tests {
         w.begin_object();
         w.key("name");
         w.string("tb\"1000\"");
-        w.key("bound");
-        w.null();
-        w.key("ok");
-        w.boolean(true);
         w.end_object();
         w.end_array();
         w.key("rate");
@@ -186,7 +170,6 @@ mod tests {
         w.end_object();
         let doc = w.finish();
         assert!(doc.contains("\"tb\\\"1000\\\"\""));
-        assert!(doc.contains("\"bound\": null"));
         assert!(doc.contains("\"rate\": 0.5"));
         assert!(doc.ends_with("}\n"));
     }

@@ -2,8 +2,7 @@
 //!
 //! One runner per table/figure of the paper's evaluation (Section 4),
 //! returning structured rows that the `repro` binary renders and the
-//! bench targets time (via the in-tree [`timing`] harness — see the
-//! `bench-criterion` feature note in the manifest):
+//! bench targets time (via the in-tree [`timing`] harness):
 //!
 //! * [`fig7`] — BLAST/CBMC baseline table (exceptions and unwinding
 //!   resource-outs per property),
@@ -11,6 +10,12 @@
 //!   and return-value coverage per property and configuration,
 //! * [`speedup`] — the "up to 900×" approach-2-vs-approach-1 comparison,
 //! * [`tb_sweep`] — coverage and AR-synthesis cost versus the time bound.
+//!
+//! Beside the tables, `repro` runs the diagnosis demo ([`witness_demo`])
+//! and the two performance gates: cache hits at least 10× faster than
+//! cold jobs ([`serve_bench`]) and trace-plane overhead of at most 3 %
+//! ([`telemetry_bench`]). Correctness gates live in the test suites; the
+//! performance record is the ledger benchmark (`BENCHMARK.json`).
 //!
 //! Scaling: the paper's runs took hours on 2008 hardware with up to 10^5
 //! (approach 1) and 10^6 (approach 2) test cases. The runners scale test
@@ -23,18 +28,15 @@ pub mod json;
 pub mod serve;
 pub mod timing;
 
-pub use serve::{render_server_bench_json, serve_bench, ServerBenchReport};
+pub use serve::{serve_bench, ServerBenchReport};
 
 use std::time::Duration;
 
 use checkers::bmc::{self, BmcConfig, BmcOutcome, SafetySpec};
 use checkers::predabs::{self, PredAbsConfig, PredAbsOutcome};
 use eee::{build_ir, Op};
-use faults::{run_fault_campaign, FaultCampaignReport, FaultCampaignSpec};
-use sctc_campaign::{resolve_jobs, run_campaign, CampaignReport, CampaignSpec, FlowKind};
-use sctc_core::{EngineKind, MonitorCounters};
-use sctc_cpu::IsaKind;
-use sctc_temporal::{ArAutomaton, CacheStats, SynthesisCache, SynthesisStats};
+use sctc_campaign::{run_campaign, CampaignSpec, FlowKind};
+use sctc_temporal::{ArAutomaton, SynthesisStats};
 
 /// Scale factors for a local run.
 #[derive(Copy, Clone, Debug)]
@@ -367,934 +369,6 @@ pub fn synthesis_stats_for_bound(bound: Option<u64>) -> SynthesisStats {
         .stats()
 }
 
-/// One row of `BENCH_campaign.json`: one campaign configuration measured
-/// at one worker count.
-#[derive(Clone, Debug)]
-pub struct CampaignBenchRow {
-    /// Flow name (`"derived"` or `"micro"`).
-    pub flow: String,
-    /// Configuration label (`"TB-1000"`, `"no-TB"`, ...).
-    pub config: String,
-    /// The time bound (`None` = pure LTL).
-    pub bound: Option<u64>,
-    /// Worker threads used.
-    pub jobs: usize,
-    /// Planned case budget.
-    pub cases: u64,
-    /// Test cases actually completed.
-    pub test_cases: u64,
-    /// Campaign fan-out wall-clock.
-    pub wall: Duration,
-    /// Sum of individual shard walls (≈ CPU time).
-    pub shard_wall_sum: Duration,
-    /// Summed per-shard registration-time synthesis wall.
-    pub synthesis_wall: Duration,
-    /// Completed cases per second of campaign wall.
-    pub cases_per_sec: f64,
-    /// Synthesis-cache hits during the campaign.
-    pub cache_hits: u64,
-    /// Synthesis-cache misses during the campaign.
-    pub cache_misses: u64,
-    /// Cache hit rate during the campaign.
-    pub cache_hit_rate: f64,
-    /// Mean return-value coverage over all operations, in percent.
-    pub coverage: f64,
-    /// Property violations observed (must stay zero).
-    pub violations: usize,
-}
-
-impl CampaignBenchRow {
-    fn from_report(flow: &str, config: &str, bound: Option<u64>, report: &CampaignReport) -> Self {
-        CampaignBenchRow {
-            flow: flow.to_owned(),
-            config: config.to_owned(),
-            bound,
-            jobs: report.jobs,
-            cases: report.total_cases,
-            test_cases: report.test_cases,
-            wall: report.wall,
-            shard_wall_sum: report.shard_wall_sum,
-            synthesis_wall: report.synthesis_wall,
-            cases_per_sec: report.cases_per_sec(),
-            cache_hits: report.cache.hits,
-            cache_misses: report.cache.misses,
-            cache_hit_rate: report.cache.hit_rate(),
-            coverage: report.overall_coverage,
-            violations: report.violations.len(),
-        }
-    }
-}
-
-/// Runs the paper's campaign configurations at `jobs = 1` and at the
-/// scale's worker count, producing the rows of `BENCH_campaign.json`.
-/// All seven response properties are registered at once in every
-/// campaign, so the synthesis cache's `properties × shards` collapse is
-/// visible in the cache columns.
-pub fn campaign_bench(scale: Scale) -> Vec<CampaignBenchRow> {
-    let parallel = resolve_jobs(scale.jobs);
-    let mut job_counts = vec![1usize];
-    if parallel != 1 {
-        job_counts.push(parallel);
-    }
-    let configs: [(&str, &str, Option<u64>, u64); 4] = [
-        ("derived", "TB-1000", Some(1000), scale.derived_cases),
-        ("derived", "TB-10000", Some(10_000), scale.derived_cases),
-        ("derived", "no-TB", None, scale.derived_cases),
-        ("micro", "no-TB", None, scale.micro_cases),
-    ];
-    let mut rows = Vec::new();
-    for jobs in job_counts {
-        for (flow, config, bound, cases) in configs {
-            let spec = if flow == "micro" {
-                CampaignSpec::micro(cases, scale.seed)
-            } else {
-                CampaignSpec::derived(cases, scale.seed)
-            };
-            let report = run_campaign(&spec.with_bound(bound).with_jobs(jobs));
-            rows.push(CampaignBenchRow::from_report(flow, config, bound, &report));
-        }
-    }
-    rows
-}
-
-/// Renders campaign-bench rows as the `BENCH_campaign.json` document.
-pub fn render_campaign_bench_json(rows: &[CampaignBenchRow]) -> String {
-    use json::JsonWriter;
-    let mut w = JsonWriter::new();
-    w.begin_object();
-    w.key("schema");
-    w.string("bench-campaign/v1");
-    w.key("host_parallelism");
-    w.number(resolve_jobs(0) as f64);
-    w.key("rows");
-    w.begin_array();
-    for row in rows {
-        w.begin_object();
-        w.key("flow");
-        w.string(&row.flow);
-        w.key("config");
-        w.string(&row.config);
-        w.key("bound");
-        match row.bound {
-            Some(b) => w.number(b as f64),
-            None => w.null(),
-        }
-        w.key("jobs");
-        w.number(row.jobs as f64);
-        w.key("cases");
-        w.number(row.cases as f64);
-        w.key("test_cases");
-        w.number(row.test_cases as f64);
-        w.key("wall_s");
-        w.number(row.wall.as_secs_f64());
-        w.key("shard_wall_sum_s");
-        w.number(row.shard_wall_sum.as_secs_f64());
-        w.key("synthesis_wall_s");
-        w.number(row.synthesis_wall.as_secs_f64());
-        w.key("cases_per_sec");
-        w.number(row.cases_per_sec);
-        w.key("cache_hits");
-        w.number(row.cache_hits as f64);
-        w.key("cache_misses");
-        w.number(row.cache_misses as f64);
-        w.key("cache_hit_rate");
-        w.number(row.cache_hit_rate);
-        w.key("coverage_percent");
-        w.number(row.coverage);
-        w.key("violations");
-        w.number(row.violations as f64);
-        w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    w.finish()
-}
-
-/// One row of `BENCH_faults.json`: one fault campaign measured at one
-/// worker count, with the detection matrix summarised and fingerprinted.
-#[derive(Clone, Debug)]
-pub struct FaultsBenchRow {
-    /// Flow name (`"derived"` or `"micro"`).
-    pub flow: String,
-    /// Worker threads used.
-    pub jobs: usize,
-    /// Planned case budget (recovery cases come on top).
-    pub cases: u64,
-    /// Test cases actually completed, recovery protocol included.
-    pub test_cases: u64,
-    /// Campaign fan-out wall-clock.
-    pub wall: Duration,
-    /// Faults scheduled by the plan.
-    pub planned: usize,
-    /// Faults that actually fired.
-    pub fired: usize,
-    /// Faults detected in their own test case.
-    pub detected: usize,
-    /// Deviations attributed to an earlier fault.
-    pub late_detections: u64,
-    /// Power losses that fired.
-    pub power_losses: usize,
-    /// Power losses whose recovery protocol succeeded.
-    pub recovered: usize,
-    /// Committed records that survived all power losses.
-    pub survived: u64,
-    /// Records corrupted (torn write served, value mismatch, lost).
-    pub corrupted: u64,
-    /// Merged verdict of `G (reset -> F[<=b] initialized)`, as text.
-    pub recovery_verdict: String,
-    /// Merged verdict of `G intact`, as text.
-    pub intact_verdict: String,
-    /// FNV-1a fingerprint of the canonical matrix, as 16 hex digits —
-    /// identical for every `jobs` value by construction.
-    pub fingerprint: String,
-}
-
-impl FaultsBenchRow {
-    /// Summarises one fault-campaign report into a bench row.
-    pub fn from_report(flow: &str, cases: u64, report: &FaultCampaignReport) -> Self {
-        let m = &report.matrix;
-        let verdict_text = |name: &str| {
-            m.verdict_of(name)
-                .map(|v| v.to_string())
-                .unwrap_or_else(|| "-".to_owned())
-        };
-        FaultsBenchRow {
-            flow: flow.to_owned(),
-            jobs: report.jobs,
-            cases,
-            test_cases: m.test_cases,
-            wall: report.wall,
-            planned: m.records.len(),
-            fired: m.records.iter().filter(|r| r.fired).count(),
-            detected: m.records.iter().filter(|r| r.detected).count(),
-            late_detections: m.records.iter().map(|r| u64::from(r.late_detections)).sum(),
-            power_losses: m
-                .records
-                .iter()
-                .filter(|r| r.class == "power-loss" && r.fired)
-                .count(),
-            recovered: m
-                .records
-                .iter()
-                .filter(|r| r.recovered == Some(true))
-                .count(),
-            survived: m.records.iter().map(|r| u64::from(r.survived)).sum(),
-            corrupted: m.records.iter().map(|r| u64::from(r.corrupted)).sum(),
-            recovery_verdict: verdict_text("recovery"),
-            intact_verdict: verdict_text("intact"),
-            fingerprint: format!("{:016x}", m.fingerprint()),
-        }
-    }
-}
-
-/// Runs the fault campaigns (both flows) at `jobs = 1` and at the scale's
-/// worker count, producing the rows of `BENCH_faults.json`. The serial
-/// and parallel fingerprints of a flow must be identical — `repro
-/// --faults` enforces this.
-pub fn faults_bench(scale: Scale) -> Vec<FaultsBenchRow> {
-    let parallel = resolve_jobs(scale.jobs);
-    let mut job_counts = vec![1usize];
-    if parallel != 1 {
-        job_counts.push(parallel);
-    }
-    let mut rows = Vec::new();
-    for jobs in job_counts {
-        for (flow, cases) in [
-            ("derived", scale.derived_cases),
-            ("micro", scale.micro_cases),
-        ] {
-            let spec = if flow == "micro" {
-                FaultCampaignSpec::micro(cases, scale.seed)
-            } else {
-                FaultCampaignSpec::derived(cases, scale.seed)
-            };
-            let report = run_fault_campaign(&spec.with_jobs(jobs));
-            rows.push(FaultsBenchRow::from_report(flow, cases, &report));
-        }
-    }
-    rows
-}
-
-/// Renders fault-bench rows as the `BENCH_faults.json` document.
-pub fn render_faults_bench_json(rows: &[FaultsBenchRow]) -> String {
-    use json::JsonWriter;
-    let mut w = JsonWriter::new();
-    w.begin_object();
-    w.key("schema");
-    w.string("bench-faults/v1");
-    w.key("host_parallelism");
-    w.number(resolve_jobs(0) as f64);
-    w.key("rows");
-    w.begin_array();
-    for row in rows {
-        w.begin_object();
-        w.key("flow");
-        w.string(&row.flow);
-        w.key("jobs");
-        w.number(row.jobs as f64);
-        w.key("cases");
-        w.number(row.cases as f64);
-        w.key("test_cases");
-        w.number(row.test_cases as f64);
-        w.key("wall_s");
-        w.number(row.wall.as_secs_f64());
-        w.key("faults_planned");
-        w.number(row.planned as f64);
-        w.key("faults_fired");
-        w.number(row.fired as f64);
-        w.key("faults_detected");
-        w.number(row.detected as f64);
-        w.key("late_detections");
-        w.number(row.late_detections as f64);
-        w.key("power_losses");
-        w.number(row.power_losses as f64);
-        w.key("recovered");
-        w.number(row.recovered as f64);
-        w.key("records_survived");
-        w.number(row.survived as f64);
-        w.key("records_corrupted");
-        w.number(row.corrupted as f64);
-        w.key("recovery_verdict");
-        w.string(&row.recovery_verdict);
-        w.key("intact_verdict");
-        w.string(&row.intact_verdict);
-        w.key("matrix_fingerprint");
-        w.string(&row.fingerprint);
-        w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    w.finish()
-}
-
-/// One row of `BENCH_smc.json`: one statistical campaign measured at one
-/// worker count, with the hypothesis-test answer and the sequential
-/// test's sample spend against the fixed-sample Chernoff budget.
-#[derive(Clone, Debug)]
-pub struct SmcBenchRow {
-    /// Query label (`"fails-direction"` / `"holds-direction"`).
-    pub label: String,
-    /// Flow name.
-    pub flow: String,
-    /// Workload label.
-    pub workload: String,
-    /// Estimation method (`"sprt"` / `"chernoff"`).
-    pub method: String,
-    /// Worker threads used.
-    pub jobs: usize,
-    /// Threshold under test.
-    pub theta: f64,
-    /// The campaign's answer, as text.
-    pub verdict: String,
-    /// Samples accepted by the canonical-order fold.
-    pub samples: u64,
-    /// Successes among them.
-    pub successes: u64,
-    /// Empirical success rate.
-    pub p_hat: f64,
-    /// Hoeffding interval around `p_hat`.
-    pub ci: (f64, f64),
-    /// The fixed-sample Chernoff budget of the query.
-    pub chernoff_bound: u64,
-    /// Samples issued to workers (accepted + raced tail).
-    pub issued: u64,
-    /// Speculative samples discarded after the decision.
-    pub discarded: u64,
-    /// Campaign wall-clock.
-    pub wall: Duration,
-    /// Report fingerprint, 16 hex digits — identical for every `jobs`
-    /// value by construction.
-    pub fingerprint: String,
-}
-
-impl SmcBenchRow {
-    fn from_report(label: &str, report: &sctc_smc::SmcReport) -> Self {
-        SmcBenchRow {
-            label: label.to_owned(),
-            flow: report.flow.clone(),
-            workload: report.workload.clone(),
-            method: report.method.clone(),
-            jobs: report.jobs,
-            theta: report.query.theta,
-            verdict: report.verdict.to_string(),
-            samples: report.samples,
-            successes: report.successes,
-            p_hat: report.p_hat(),
-            ci: report.confidence_interval(),
-            chernoff_bound: report.chernoff_bound,
-            issued: report.issued,
-            discarded: report.discarded,
-            wall: report.wall,
-            fingerprint: format!("{:016x}", report.fingerprint()),
-        }
-    }
-}
-
-/// Runs the statistical campaigns of `repro --smc` at `jobs = 1` and at
-/// the scale's worker count: a planted 10% failure rate probed from both
-/// directions — `theta = 0.95` (the SPRT must answer *fails* far below
-/// the Chernoff budget) and `theta = 0.8` (it must answer *holds*). The
-/// serial and parallel fingerprints of each query must be identical —
-/// `repro --smc` enforces this, plus the early-stopping sample saving.
-pub fn smc_bench(scale: Scale) -> Vec<SmcBenchRow> {
-    use sctc_smc::{run_smc_campaign, SmcQuery, SmcSpec};
-    const PLANT_PER_MILLE: u32 = 100;
-    let parallel = resolve_jobs(scale.jobs);
-    let mut job_counts = vec![1usize];
-    if parallel != 1 {
-        job_counts.push(parallel);
-    }
-    let queries = [
-        ("fails-direction", SmcQuery::new(0.95, 0.025)),
-        ("holds-direction", SmcQuery::new(0.8, 0.05)),
-    ];
-    let mut rows = Vec::new();
-    for (label, query) in queries {
-        for &jobs in &job_counts {
-            let spec = SmcSpec::planted_torn(FlowKind::Derived, PLANT_PER_MILLE, scale.seed)
-                .with_query(query)
-                .with_jobs(jobs);
-            let report = run_smc_campaign(&spec);
-            rows.push(SmcBenchRow::from_report(label, &report));
-        }
-    }
-    rows
-}
-
-/// Renders SMC bench rows as the `BENCH_smc.json` document.
-pub fn render_smc_bench_json(rows: &[SmcBenchRow]) -> String {
-    use json::JsonWriter;
-    let mut w = JsonWriter::new();
-    w.begin_object();
-    w.key("schema");
-    w.string("bench-smc/v1");
-    w.key("host_parallelism");
-    w.number(resolve_jobs(0) as f64);
-    w.key("rows");
-    w.begin_array();
-    for row in rows {
-        w.begin_object();
-        w.key("label");
-        w.string(&row.label);
-        w.key("flow");
-        w.string(&row.flow);
-        w.key("workload");
-        w.string(&row.workload);
-        w.key("method");
-        w.string(&row.method);
-        w.key("jobs");
-        w.number(row.jobs as f64);
-        w.key("theta");
-        w.number(row.theta);
-        w.key("verdict");
-        w.string(&row.verdict);
-        w.key("samples");
-        w.number(row.samples as f64);
-        w.key("successes");
-        w.number(row.successes as f64);
-        w.key("p_hat");
-        w.number(row.p_hat);
-        w.key("ci_lo");
-        w.number(row.ci.0);
-        w.key("ci_hi");
-        w.number(row.ci.1);
-        w.key("chernoff_bound");
-        w.number(row.chernoff_bound as f64);
-        w.key("samples_saved");
-        w.number(row.chernoff_bound.saturating_sub(row.samples) as f64);
-        w.key("issued");
-        w.number(row.issued as f64);
-        w.key("discarded");
-        w.number(row.discarded as f64);
-        w.key("wall_s");
-        w.number(row.wall.as_secs_f64());
-        w.key("report_fingerprint");
-        w.string(&row.fingerprint);
-        w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    w.finish()
-}
-
-/// One row of `BENCH_monitoring.json`: one campaign configuration run
-/// under both monitoring engines (the change-driven `Compiled` kernel and
-/// the `Naive` reference), with per-engine work counters, per-engine
-/// min-of-4 walls, and the result-fingerprint comparison.
-#[derive(Clone, Debug)]
-pub struct MonitorBenchRow {
-    /// Campaign family (`"fig8"`, `"tb-sweep"`, `"bounded-response"`,
-    /// `"faults"`).
-    pub campaign: String,
-    /// Configuration label (`"TB-1000"`, `"TB-20000"`, ...).
-    pub config: String,
-    /// Flow name (`"derived"` or `"micro"`).
-    pub flow: String,
-    /// Planned case budget.
-    pub cases: u64,
-    /// Work counters of the change-driven (default) compiled engine.
-    pub compiled: MonitorCounters,
-    /// Work counters of the naive engine (`atoms_evaluated ==
-    /// atoms_total` by construction).
-    pub naive: MonitorCounters,
-    /// Fastest of four alternating-order repetitions of the compiled run.
-    pub compiled_wall: Duration,
-    /// Fastest of four alternating-order repetitions of the naive run.
-    pub naive_wall: Duration,
-    /// Synthesis-cache activity across this row's legs: compiled-kernel
-    /// hits/misses and the lowering wall.
-    pub cache: CacheStats,
-    /// Whether both engines produced the identical result fingerprint.
-    /// `repro --monitor-bench` exits non-zero when any row diverges.
-    pub fingerprints_equal: bool,
-}
-
-/// The fixed engine order of the bench; `walls[i]`/`reports[i]` in
-/// [`timed_engines`] line up with this.
-const BENCH_ENGINES: [EngineKind; 2] = [EngineKind::Compiled, EngineKind::Naive];
-
-/// Times `run` once per engine per repetition, alternating which engine
-/// goes first, and keeps the fastest wall per engine: single-shot timings
-/// on a shared machine are ±20% noisy and drift over time, and the
-/// minimum over alternated runs is the stable estimator of intrinsic cost
-/// (same methodology as [`obs_bench`]).
-fn timed_engines<R>(mut run: impl FnMut(EngineKind) -> R) -> ([Duration; 2], [R; 2]) {
-    let mut walls = [Duration::MAX; 2];
-    let mut reports: [Option<R>; 2] = [None, None];
-    for rep in 0..4 {
-        for slot in 0..2 {
-            let i = (slot + rep) % 2;
-            let t0 = std::time::Instant::now();
-            let report = run(BENCH_ENGINES[i]);
-            walls[i] = walls[i].min(t0.elapsed());
-            reports[i] = Some(report);
-        }
-    }
-    (walls, reports.map(|r| r.expect("every engine ran")))
-}
-
-fn flow_label(flow: FlowKind) -> &'static str {
-    match flow {
-        FlowKind::Derived => "derived",
-        FlowKind::Microprocessor => "micro",
-    }
-}
-
-/// Runs every campaign family under both monitoring engines and compares
-/// result fingerprints: the fig8 configurations, one tb-sweep row, the
-/// 20k-cycle bounded-response property on the microprocessor flow (the
-/// stutter-compression stress), and both fault campaigns.
-pub fn monitor_bench(scale: Scale) -> Vec<MonitorBenchRow> {
-    let jobs = scale.jobs;
-    let mut rows = Vec::new();
-    let eee_configs: Vec<(&str, &str, CampaignSpec)> = vec![
-        (
-            "fig8",
-            "TB-1000",
-            CampaignSpec::derived(scale.derived_cases, scale.seed),
-        ),
-        (
-            "fig8",
-            "TB-10000",
-            CampaignSpec::derived(scale.derived_cases, scale.seed).with_bound(Some(10_000)),
-        ),
-        (
-            "fig8",
-            "no-TB",
-            CampaignSpec::micro(scale.micro_cases, scale.seed),
-        ),
-        (
-            "tb-sweep",
-            "TB-100",
-            CampaignSpec::derived(scale.derived_cases, scale.seed)
-                .with_op(Op::Read)
-                .with_bound(Some(100)),
-        ),
-        // The 20,000-cycle bounded-response property samples every clock
-        // cycle of the microprocessor flow: the long clean stretches while
-        // the software computes are where stutter compression pays.
-        (
-            "bounded-response",
-            "TB-20000",
-            CampaignSpec::micro(scale.micro_cases, scale.seed).with_bound(Some(20_000)),
-        ),
-    ];
-    for (campaign, config, spec) in eee_configs {
-        // Warm the shared synthesis cache with a single-case run so the
-        // timed legs compare monitoring work, not who pays the one-off
-        // AR-synthesis and kernel-lowering cache misses.
-        let mut warmup = spec.clone().with_jobs(1);
-        warmup.cases = 1;
-        run_campaign(&warmup);
-        let before = SynthesisCache::global().stats();
-        let (walls, reports) =
-            timed_engines(|engine| run_campaign(&spec.clone().with_engine(engine).with_jobs(jobs)));
-        let cache = SynthesisCache::global().stats().since(&before);
-        let [compiled, naive] = reports;
-        rows.push(MonitorBenchRow {
-            campaign: campaign.to_owned(),
-            config: config.to_owned(),
-            flow: flow_label(spec.flow).to_owned(),
-            cases: compiled.total_cases,
-            compiled: compiled.monitoring,
-            naive: naive.monitoring,
-            compiled_wall: walls[0],
-            naive_wall: walls[1],
-            cache,
-            fingerprints_equal: compiled.fingerprint() == naive.fingerprint(),
-        });
-    }
-    for (flow, cases) in [
-        ("derived", scale.derived_cases),
-        ("micro", scale.micro_cases),
-    ] {
-        let spec = if flow == "micro" {
-            FaultCampaignSpec::micro(cases, scale.seed)
-        } else {
-            FaultCampaignSpec::derived(cases, scale.seed)
-        };
-        let mut warmup = spec.clone().with_jobs(1);
-        warmup.cases = 1;
-        run_fault_campaign(&warmup);
-        let before = SynthesisCache::global().stats();
-        let (walls, reports) = timed_engines(|engine| {
-            run_fault_campaign(&spec.clone().with_engine(engine).with_jobs(jobs))
-        });
-        let cache = SynthesisCache::global().stats().since(&before);
-        let [compiled, naive] = reports;
-        rows.push(MonitorBenchRow {
-            campaign: "faults".to_owned(),
-            config: "inject".to_owned(),
-            flow: flow.to_owned(),
-            cases,
-            compiled: compiled.matrix.monitoring,
-            naive: naive.matrix.monitoring,
-            compiled_wall: walls[0],
-            naive_wall: walls[1],
-            cache,
-            fingerprints_equal: compiled.matrix.fingerprint() == naive.matrix.fingerprint(),
-        });
-    }
-    rows
-}
-
-/// One row of the instruction-decode benchmark: the compiled EEE program
-/// driven through a fixed request script on the clocked SoC, once per
-/// encoding.
-#[derive(Clone, Debug)]
-pub struct DecodeBenchRow {
-    /// Variant label (`"word32-table"`, `"comp16-table"`).
-    pub variant: String,
-    /// Instruction-encoding name (`"word32"` / `"comp16"`).
-    pub isa: String,
-    /// Flash footprint of the encoded program in bytes.
-    pub text_bytes: u64,
-    /// Processor cycles executed by one scripted run (smaller text, same
-    /// cycle count, for comp16).
-    pub cycles: u64,
-    /// Fastest of four alternating-order repetitions.
-    pub wall: Duration,
-    /// Cycles per second of the fastest repetition.
-    pub cycles_per_sec: f64,
-}
-
-/// Runs the compiled EEE program through one fixed request script on the
-/// clocked SoC under one encoding, returning the cycle count, the flash
-/// footprint, and the per-request observations.
-/// (cycles, flash text bytes, per-request `(ret, read_value)` observations).
-type DecodeRun = (u64, u64, Vec<(i32, i32)>);
-
-fn run_decode_variant(isa: IsaKind, script: &[(eee::Op, i32, i32)]) -> DecodeRun {
-    use eee::driver::MailboxAddrs;
-    use eee::{flash_soc, share_flash, DataFlash};
-    use minic::codegen::{compile, CodegenOptions};
-
-    let ir = build_ir();
-    let compiled = compile(
-        &ir,
-        CodegenOptions {
-            isa,
-            ..CodegenOptions::default()
-        },
-    )
-    .expect("EEE compiles");
-    let addrs = MailboxAddrs::from_compiled(&compiled);
-    let read_value_addr = compiled.global_addr("eee_read_value");
-    let text_bytes = compiled.text.len() as u64 * 4;
-    let mut soc = flash_soc(&compiled, &share_flash(DataFlash::new()));
-    let mut cycles = 0u64;
-    let obs = script
-        .iter()
-        .map(|&(op, arg0, arg1)| {
-            soc.mem
-                .write_u32(addrs.req_op, op.code() as u32)
-                .expect("mailbox in RAM");
-            soc.mem
-                .write_u32(addrs.req_arg0, arg0 as u32)
-                .expect("mailbox in RAM");
-            soc.mem
-                .write_u32(addrs.req_arg1, arg1 as u32)
-                .expect("mailbox in RAM");
-            soc.reset_cpu();
-            while !soc.cpu.is_halted() {
-                assert!(soc.fault.is_none(), "CPU fault in decode bench");
-                soc.cycle();
-                cycles += 1;
-            }
-            let peek = |addr: u32| soc.mem.peek_u32(addr).expect("mailbox in RAM") as i32;
-            (peek(addrs.eee_last_ret), peek(read_value_addr))
-        })
-        .collect();
-    (cycles, text_bytes, obs)
-}
-
-/// Times instruction decode on the clocked microprocessor flow: the
-/// table-driven decoder on the 32-bit and the compressed encoding. Walls
-/// are min-of-4 with alternating variant order (same methodology as the
-/// engine bench). The second return is the cross-variant observation
-/// agreement — both runs must serve identical return codes and read
-/// values; `repro --monitor-bench` exits non-zero when they diverge.
-pub fn decode_bench() -> (Vec<DecodeBenchRow>, bool) {
-    use eee::{Op, NUM_IDS};
-    let mut script: Vec<(Op, i32, i32)> = vec![
-        (Op::Format, 0, 0),
-        (Op::Startup1, 0, 0),
-        (Op::Startup2, 0, 0),
-    ];
-    for round in 0..4 {
-        for id in 0..NUM_IDS {
-            script.push((Op::Write, id, round * 1000 + id));
-            script.push((Op::Read, id, 0));
-        }
-    }
-    let variants: [(&str, IsaKind); 2] = [
-        ("word32-table", IsaKind::Word32),
-        ("comp16-table", IsaKind::Comp16),
-    ];
-    let mut walls = [Duration::MAX; 2];
-    let mut runs: [Option<DecodeRun>; 2] = [None, None];
-    for rep in 0..4 {
-        for slot in 0..2 {
-            let i = (slot + rep) % 2;
-            let t0 = std::time::Instant::now();
-            let out = run_decode_variant(variants[i].1, &script);
-            walls[i] = walls[i].min(t0.elapsed());
-            runs[i] = Some(out);
-        }
-    }
-    let runs = runs.map(|r| r.expect("every variant ran"));
-    let equal = runs[0].2 == runs[1].2;
-    let rows = variants
-        .iter()
-        .zip(runs.iter().zip(walls))
-        .map(
-            |(&(variant, isa), (&(cycles, text_bytes, _), wall))| DecodeBenchRow {
-                variant: variant.to_owned(),
-                isa: isa.name().to_owned(),
-                text_bytes,
-                cycles,
-                wall,
-                cycles_per_sec: cycles as f64 / wall.as_secs_f64().max(1e-9),
-            },
-        )
-        .collect();
-    (rows, equal)
-}
-
-/// Renders monitoring-bench rows as the `BENCH_monitoring.json` document
-/// (`bench-monitoring/v4`: per-row change-driven work counters, per-engine
-/// `engines.{compiled,naive}` objects with min-of-4 `wall_s` and
-/// `steps_compressed`, compiled-kernel cache counters, and a top-level
-/// `decode` array with the per-encoding instruction-decode rows).
-pub fn render_monitoring_bench_json(
-    rows: &[MonitorBenchRow],
-    decode: &[DecodeBenchRow],
-    decode_equal: bool,
-) -> String {
-    use json::JsonWriter;
-    let mut w = JsonWriter::new();
-    w.begin_object();
-    w.key("schema");
-    w.string("bench-monitoring/v4");
-    w.key("host_parallelism");
-    w.number(resolve_jobs(0) as f64);
-    w.key("fingerprints_equal");
-    w.boolean(rows.iter().all(|r| r.fingerprints_equal));
-    w.key("rows");
-    w.begin_array();
-    for row in rows {
-        w.begin_object();
-        w.key("campaign");
-        w.string(&row.campaign);
-        w.key("config");
-        w.string(&row.config);
-        w.key("flow");
-        w.string(&row.flow);
-        w.key("cases");
-        w.number(row.cases as f64);
-        w.key("atoms_evaluated");
-        w.number(row.compiled.atoms_evaluated as f64);
-        w.key("atoms_total");
-        w.number(row.compiled.atoms_total as f64);
-        w.key("atoms_evaluated_fraction");
-        w.number(if row.compiled.atoms_total == 0 {
-            0.0
-        } else {
-            row.compiled.atoms_evaluated as f64 / row.compiled.atoms_total as f64
-        });
-        w.key("steps_compressed");
-        w.number(row.compiled.steps_compressed as f64);
-        w.key("dirty_wakeups");
-        w.number(row.compiled.dirty_wakeups as f64);
-        w.key("naive_atoms_evaluated");
-        w.number(row.naive.atoms_evaluated as f64);
-        w.key("engines");
-        w.begin_object();
-        for (name, counters, wall) in [
-            ("compiled", &row.compiled, row.compiled_wall),
-            ("naive", &row.naive, row.naive_wall),
-        ] {
-            w.key(name);
-            w.begin_object();
-            w.key("wall_s");
-            w.number(wall.as_secs_f64());
-            w.key("steps_compressed");
-            w.number(counters.steps_compressed as f64);
-            w.key("dirty_wakeups");
-            w.number(counters.dirty_wakeups as f64);
-            w.end_object();
-        }
-        w.end_object();
-        w.key("compiled_cache_hits");
-        w.number(row.cache.compiled_hits as f64);
-        w.key("compiled_cache_misses");
-        w.number(row.cache.compiled_misses as f64);
-        w.key("compiled_build_wall_s");
-        w.number(row.cache.compiled_build_wall.as_secs_f64());
-        w.key("naive_over_compiled");
-        w.number(row.naive_wall.as_secs_f64() / row.compiled_wall.as_secs_f64().max(1e-9));
-        w.key("fingerprints_equal");
-        w.boolean(row.fingerprints_equal);
-        w.end_object();
-    }
-    w.end_array();
-    w.key("decode_observations_equal");
-    w.boolean(decode_equal);
-    w.key("decode");
-    w.begin_array();
-    for row in decode {
-        w.begin_object();
-        w.key("variant");
-        w.string(&row.variant);
-        w.key("isa");
-        w.string(&row.isa);
-        w.key("text_bytes");
-        w.number(row.text_bytes as f64);
-        w.key("cycles");
-        w.number(row.cycles as f64);
-        w.key("wall_s");
-        w.number(row.wall.as_secs_f64());
-        w.key("cycles_per_sec");
-        w.number(row.cycles_per_sec);
-        w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    w.finish()
-}
-
-/// The observability benchmark: profiler overhead on the standard
-/// derived-flow campaign plus one unified metrics-registry snapshot.
-#[derive(Clone, Debug)]
-pub struct ObsBenchReport {
-    /// Planned case budget of the measured campaign.
-    pub cases: u64,
-    /// Campaign wall with observability fully disabled.
-    pub plain_wall: Duration,
-    /// Wall of the identical campaign with the span profiler enabled.
-    pub profiled_wall: Duration,
-    /// `(profiled - plain) / plain` in percent; noise can push it
-    /// slightly negative.
-    pub overhead_percent: f64,
-    /// Merged span profile of the profiled campaign.
-    pub spans: sctc_core::SpanStats,
-    /// The unified metrics snapshot of the profiled campaign.
-    pub metrics: sctc_core::Metrics,
-}
-
-/// Measures the span profiler's overhead: the same derived campaign runs
-/// once with observability disabled and once with the profiler enabled,
-/// and the registry collects every scattered counter of the profiled run
-/// into one [`sctc_core::Metrics`] snapshot.
-pub fn obs_bench(scale: Scale) -> ObsBenchReport {
-    let spec = CampaignSpec::derived(scale.derived_cases, scale.seed);
-    // Warm the shared synthesis cache so neither timed run pays the
-    // one-off AR-synthesis miss.
-    let mut warmup = spec.clone().with_jobs(1);
-    warmup.cases = 1;
-    run_campaign(&warmup);
-    // Interleave plain/profiled repetitions — alternating which goes
-    // first — and keep the fastest wall of each: single-shot timings on
-    // a shared machine are ±20% noisy and drift over time, and the
-    // minimum over alternated runs is the stable estimator of intrinsic
-    // cost.
-    let mut plain_wall = std::time::Duration::MAX;
-    let mut profiled_wall = std::time::Duration::MAX;
-    let mut plain = None;
-    let mut profiled = None;
-    for rep in 0..4 {
-        for leg in 0..2 {
-            if (rep + leg) % 2 == 0 {
-                let t0 = std::time::Instant::now();
-                let p = run_campaign(&spec.clone().with_jobs(scale.jobs));
-                plain_wall = plain_wall.min(t0.elapsed());
-                plain = Some(p);
-            } else {
-                let t0 = std::time::Instant::now();
-                let p = run_campaign(&spec.clone().with_jobs(scale.jobs).with_profile(true));
-                profiled_wall = profiled_wall.min(t0.elapsed());
-                profiled = Some(p);
-            }
-        }
-    }
-    let (plain, profiled) = (plain.expect("ran"), profiled.expect("ran"));
-    // Zero-cost-when-disabled is a structural guarantee, not a hope.
-    assert!(
-        plain.spans.is_empty(),
-        "unprofiled campaign must not collect spans"
-    );
-    assert_eq!(
-        plain.fingerprint(),
-        profiled.fingerprint(),
-        "profiling must not change what the campaign finds"
-    );
-    let overhead_percent = 100.0 * (profiled_wall.as_secs_f64() - plain_wall.as_secs_f64())
-        / plain_wall.as_secs_f64().max(1e-9);
-
-    let mut metrics = sctc_core::Metrics::new();
-    profiled.monitoring.record(&mut metrics);
-    metrics.counter_add("campaign.test_cases", profiled.test_cases);
-    metrics.counter_add("campaign.samples", profiled.samples);
-    metrics.counter_add("campaign.sim_ticks", profiled.sim_ticks);
-    metrics.counter_add("kernel.resumes", profiled.kernel.resumes);
-    metrics.counter_add("kernel.delta_cycles", profiled.kernel.delta_cycles);
-    metrics.counter_add("synthesis.cache_hits", profiled.cache.hits);
-    metrics.counter_add("synthesis.cache_misses", profiled.cache.misses);
-    metrics.gauge_set("coverage.overall_percent", profiled.overall_coverage);
-    for (path, entry) in profiled.spans.iter() {
-        metrics.counter_add(&format!("span.{path}.count"), entry.count);
-        metrics.gauge_set(&format!("span.{path}.wall_s"), entry.wall.as_secs_f64());
-    }
-    ObsBenchReport {
-        cases: profiled.total_cases,
-        plain_wall,
-        profiled_wall,
-        overhead_percent,
-        spans: profiled.spans,
-        metrics,
-    }
-}
-
 /// The diagnosis-layer demo on one flow: the torn-write mutant violates
 /// `G intact`, and the witness/VCD pipeline must explain the failure.
 #[derive(Clone, Debug)]
@@ -1328,9 +402,10 @@ impl WitnessDemo {
     }
 }
 
-/// Runs the torn-write power-loss scenario with the diagnosis layer on,
-/// under both flows, and validates the full witness/VCD contract.
-pub fn witness_demo(profile: bool) -> Vec<WitnessDemo> {
+/// Runs the torn-write power-loss scenario with the diagnosis layer and
+/// the span profiler on, under both flows, and validates the full
+/// witness/VCD contract.
+pub fn witness_demo() -> Vec<WitnessDemo> {
     use faults::scenario::{run_scenario_observed, ScenarioObs};
     use faults::EswProgram;
     use sctc_core::{VcdDoc, VcdValue, WitnessConfig};
@@ -1339,7 +414,7 @@ pub fn witness_demo(profile: bool) -> Vec<WitnessDemo> {
     let obs = ScenarioObs {
         witnesses: Some(WitnessConfig::default()),
         vcd: true,
-        profile,
+        profile: true,
         ..ScenarioObs::default()
     };
     let flows: [(FlowKind, &str, u64, &str); 2] = [
@@ -1390,98 +465,6 @@ pub fn witness_demo(profile: bool) -> Vec<WitnessDemo> {
         .collect()
 }
 
-/// Renders the observability benchmark and the witness-demo verdicts as
-/// the `BENCH_obs.json` document.
-pub fn render_obs_json(report: &ObsBenchReport, demos: &[WitnessDemo]) -> String {
-    use json::JsonWriter;
-    let mut w = JsonWriter::new();
-    w.begin_object();
-    w.key("schema");
-    w.string("bench-obs/v1");
-    w.key("host_parallelism");
-    w.number(resolve_jobs(0) as f64);
-    w.key("profiler_overhead");
-    w.begin_object();
-    w.key("cases");
-    w.number(report.cases as f64);
-    w.key("plain_wall_s");
-    w.number(report.plain_wall.as_secs_f64());
-    w.key("profiled_wall_s");
-    w.number(report.profiled_wall.as_secs_f64());
-    w.key("overhead_percent");
-    w.number(report.overhead_percent);
-    w.end_object();
-    w.key("spans");
-    w.begin_array();
-    for (path, entry) in report.spans.iter() {
-        w.begin_object();
-        w.key("path");
-        w.string(path);
-        w.key("count");
-        w.number(entry.count as f64);
-        w.key("wall_s");
-        w.number(entry.wall.as_secs_f64());
-        w.end_object();
-    }
-    w.end_array();
-    w.key("metrics");
-    w.begin_array();
-    for (name, value) in report.metrics.iter() {
-        w.begin_object();
-        w.key("name");
-        w.string(name);
-        match value {
-            sctc_core::MetricValue::Counter(n) => {
-                w.key("type");
-                w.string("counter");
-                w.key("value");
-                w.number(n as f64);
-            }
-            sctc_core::MetricValue::Gauge(v) => {
-                w.key("type");
-                w.string("gauge");
-                w.key("value");
-                w.number(v);
-            }
-            sctc_core::MetricValue::Histogram(h) => {
-                w.key("type");
-                w.string("histogram");
-                w.key("count");
-                w.number(h.count as f64);
-                w.key("sum");
-                w.number(h.sum);
-                w.key("min");
-                w.number(h.min);
-                w.key("max");
-                w.number(h.max);
-            }
-        }
-        w.end_object();
-    }
-    w.end_array();
-    w.key("witness_demo");
-    w.begin_array();
-    for demo in demos {
-        w.begin_object();
-        w.key("flow");
-        w.string(&demo.flow);
-        w.key("violated");
-        w.boolean(demo.violated);
-        w.key("decided_at");
-        w.number(demo.decided_at as f64);
-        w.key("replay_ok");
-        w.boolean(demo.replay_ok);
-        w.key("vcd_ok");
-        w.boolean(demo.vcd_ok);
-        w.key("provenance_ok");
-        w.boolean(demo.provenance_ok);
-        w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    w.finish()
-}
-
 /// The telemetry-overhead benchmark: the same campaign timed with the
 /// trace plane disabled and enabled, plus the flight-recorder log of the
 /// final enabled run.
@@ -1501,22 +484,19 @@ pub struct TelemetryBenchReport {
     pub events: Vec<sctc_core::TraceEvent>,
 }
 
-/// Measures the trace plane's overhead and proves its zero-cost
-/// discipline: fingerprints must be bit-identical with telemetry on and
-/// off, for the campaign under test **and** for quick fault-injection
-/// and SMC runs (the other two instrumented paths).
+/// Measures the trace plane's overhead on a derived campaign.
 ///
-/// Methodology matches [`obs_bench`], with more repetitions: a
-/// full-size untimed warmup, then ten interleaved off/on repetitions —
+/// A full-size untimed warmup, then ten interleaved off/on repetitions —
 /// alternating which goes first — keeping the fastest wall of each.
 /// The measured delta is sub-percent, far below the run-to-run wall
 /// variance of a noisy shared machine, so only a deep min-of converges
-/// both legs to their floor.
+/// both legs to their floor. The fault-injection and SMC stacks get the
+/// same on/off identity check in `tests/monitor_equivalence.rs`.
 ///
 /// # Panics
 ///
-/// Panics if any on/off fingerprint pair diverges — that would mean
-/// telemetry feeds back into verification.
+/// Panics if the on and off campaign fingerprints diverge — that would
+/// mean telemetry feeds back into verification.
 pub fn telemetry_bench(scale: Scale) -> TelemetryBenchReport {
     use sctc_core::trace;
     let spec = CampaignSpec::derived(scale.derived_cases, scale.seed);
@@ -1563,33 +543,6 @@ pub fn telemetry_bench(scale: Scale) -> TelemetryBenchReport {
         "an enabled campaign run must record events"
     );
 
-    // The other two instrumented paths get the same on/off treatment at
-    // smoke scale: fault-injection matrices and SMC verdict streams.
-    let faults_spec = FaultCampaignSpec::derived(24, scale.seed)
-        .with_chunk(8)
-        .with_fault_percent(50)
-        .with_jobs(2);
-    trace::set_enabled(false);
-    let faults_off = run_fault_campaign(&faults_spec).matrix.fingerprint();
-    trace::set_enabled(true);
-    let faults_on = run_fault_campaign(&faults_spec).matrix.fingerprint();
-    assert_eq!(
-        faults_off, faults_on,
-        "telemetry must not change fault-injection results"
-    );
-    let smc_spec = sctc_smc::SmcSpec::planted_torn(FlowKind::Derived, 200, scale.seed)
-        .with_max_samples(60)
-        .with_jobs(2);
-    trace::set_enabled(false);
-    let smc_off = sctc_smc::run_smc_campaign(&smc_spec);
-    trace::set_enabled(true);
-    let smc_on = sctc_smc::run_smc_campaign(&smc_spec);
-    assert_eq!(
-        (smc_off.fingerprint(), smc_off.verdict, smc_off.samples),
-        (smc_on.fingerprint(), smc_on.verdict, smc_on.samples),
-        "telemetry must not change SMC results"
-    );
-
     let overhead_percent = 100.0 * (on_wall.as_secs_f64() - off_wall.as_secs_f64())
         / off_wall.as_secs_f64().max(1e-9);
     TelemetryBenchReport {
@@ -1599,47 +552,6 @@ pub fn telemetry_bench(scale: Scale) -> TelemetryBenchReport {
         overhead_percent,
         events,
     }
-}
-
-/// Renders the telemetry-overhead benchmark as the
-/// `BENCH_telemetry.json` document.
-pub fn render_telemetry_json(report: &TelemetryBenchReport) -> String {
-    use json::JsonWriter;
-    let mut w = JsonWriter::new();
-    w.begin_object();
-    w.key("schema");
-    w.string("bench-telemetry/v1");
-    w.key("host_parallelism");
-    w.number(resolve_jobs(0) as f64);
-    w.key("cases");
-    w.number(report.cases as f64);
-    w.key("off_wall_s");
-    w.number(report.off_wall.as_secs_f64());
-    w.key("on_wall_s");
-    w.number(report.on_wall.as_secs_f64());
-    w.key("overhead_percent");
-    w.number(report.overhead_percent);
-    w.key("events_recorded");
-    w.number(report.events.len() as f64);
-    w.key("stages");
-    w.begin_array();
-    {
-        let mut counts: std::collections::BTreeMap<&str, u64> = std::collections::BTreeMap::new();
-        for event in &report.events {
-            *counts.entry(event.stage).or_default() += 1;
-        }
-        for (stage, count) in counts {
-            w.begin_object();
-            w.key("stage");
-            w.string(stage);
-            w.key("count");
-            w.number(count as f64);
-            w.end_object();
-        }
-    }
-    w.end_array();
-    w.end_object();
-    w.finish()
 }
 
 /// Renders a flight-recorder log in the chrome://tracing JSON object
@@ -1764,33 +676,5 @@ mod telemetry_tests {
             rendered.matches(']').count(),
             "balanced brackets"
         );
-    }
-
-    #[test]
-    fn telemetry_json_carries_the_headline_numbers() {
-        let report = TelemetryBenchReport {
-            cases: 400,
-            off_wall: Duration::from_micros(900),
-            on_wall: Duration::from_micros(910),
-            overhead_percent: 1.11,
-            events: vec![sctc_core::TraceEvent {
-                trace_id: 1,
-                span_id: 1,
-                parent: 0,
-                stage: "shard.done",
-                t_us: 5,
-                tid: 1,
-                fields: vec![],
-            }],
-        };
-        let rendered = render_telemetry_json(&report);
-        for required in [
-            "\"schema\": \"bench-telemetry/v1\"",
-            "\"overhead_percent\": 1.11",
-            "\"events_recorded\": 1",
-            "\"stage\": \"shard.done\"",
-        ] {
-            assert!(rendered.contains(required), "missing {required}: {rendered}");
-        }
     }
 }

@@ -6,7 +6,7 @@
 //! replacement by several concurrent clients, so most submissions are
 //! result-cache hits or single-flight joins. Every fetched digest is
 //! checked against the same job run in-process; a divergence is a hard
-//! failure of the artifact.
+//! failure of the run.
 //!
 //! Caveat for the latency split: pre-computing the expected digests runs
 //! every job once in-process first, which warms the process-wide
@@ -16,13 +16,13 @@
 
 use std::time::{Duration, Instant};
 
+use sctc_campaign::resolve_jobs;
 use sctc_server::job::run_job;
 use sctc_server::{
     spawn, Client, JobDigest, JobOptions, JobOutcome, JobSpec, ServerConfig, Served,
 };
 
-use crate::json::JsonWriter;
-use crate::{resolve_jobs, Scale};
+use crate::Scale;
 
 /// One submission's measurement.
 #[derive(Clone, Debug)]
@@ -222,53 +222,4 @@ pub fn serve_bench(scale: Scale) -> ServerBenchReport {
         speedup,
         stats,
     }
-}
-
-/// Renders the sustained-load report as the `BENCH_server.json` document.
-pub fn render_server_bench_json(report: &ServerBenchReport) -> String {
-    let mut w = JsonWriter::new();
-    w.begin_object();
-    w.key("schema");
-    w.string("bench-server/v1");
-    w.key("host_parallelism");
-    w.number(resolve_jobs(0) as f64);
-    w.key("clients");
-    w.number(report.clients as f64);
-    w.key("distinct_jobs");
-    w.number(report.distinct_jobs as f64);
-    w.key("jobs_done");
-    w.number(report.jobs_done as f64);
-    w.key("colds");
-    w.number(report.colds as f64);
-    w.key("hits");
-    w.number(report.hits as f64);
-    w.key("coalesced");
-    w.number(report.coalesced as f64);
-    w.key("divergences");
-    w.number(report.divergences as f64);
-    w.key("hit_rate");
-    w.number(report.hit_rate);
-    w.key("jobs_per_sec");
-    w.number(report.jobs_per_sec);
-    w.key("wall_s");
-    w.number(report.wall.as_secs_f64());
-    w.key("p50_us");
-    w.number(report.p50.as_secs_f64() * 1e6);
-    w.key("p99_us");
-    w.number(report.p99.as_secs_f64() * 1e6);
-    w.key("cold_median_us");
-    w.number(report.cold_median.as_secs_f64() * 1e6);
-    w.key("hit_median_us");
-    w.number(report.hit_median.as_secs_f64() * 1e6);
-    w.key("hit_speedup");
-    w.number(report.speedup);
-    w.key("server_stats");
-    w.begin_object();
-    for (name, value) in &report.stats {
-        w.key(name);
-        w.number(*value as f64);
-    }
-    w.end_object();
-    w.end_object();
-    w.finish()
 }

@@ -1,8 +1,7 @@
 //! A dependency-free wall-clock micro-benchmark harness.
 //!
-//! The offline substitute for Criterion (see the `bench-criterion` feature
-//! note in this crate's manifest): warm up, run a fixed number of samples,
-//! report min / mean / max. No statistics beyond that — the workspace's
+//! The offline substitute for Criterion: warm up, run a fixed number of
+//! samples, report min / mean / max. No statistics beyond that — the workspace's
 //! bench targets compare *shapes and orders of magnitude*, which min/mean
 //! already expose, and the harness must build with no registry access.
 

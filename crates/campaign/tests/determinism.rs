@@ -85,23 +85,36 @@ fn prop_campaign_merge_is_independent_of_worker_count() {
 #[test]
 fn naive_and_change_driven_engines_are_bitidentical() {
     // The change-driven pipeline (default) must find exactly what the
-    // naive engine finds — per shard, at any worker count.
-    let spec = CampaignSpec::derived(60, 20080310).with_chunk(10);
-    let driven = run_campaign(&spec.clone().with_jobs(4));
-    let naive = run_campaign(
-        &spec
-            .clone()
-            .with_engine(sctc_core::EngineKind::Naive)
-            .with_jobs(1),
-    );
-    assert_eq!(driven.fingerprint(), naive.fingerprint());
-    // The naive engine evaluates everything it could; the change-driven
-    // engine strictly less on this workload.
-    assert_eq!(
-        naive.monitoring.atoms_evaluated,
-        naive.monitoring.atoms_total
-    );
-    assert!(driven.monitoring.atoms_evaluated < driven.monitoring.atoms_total);
+    // naive engine finds — per shard, at any worker count, on both flows.
+    // The 20,000-cycle bound on the microprocessor flow samples every
+    // clock cycle: the long clean stretches while the software computes
+    // are where stutter compression does the work.
+    let micro = CampaignSpec::micro(8, 20080310).with_chunk(2);
+    for spec in [
+        CampaignSpec::derived(60, 20080310).with_chunk(10),
+        micro.clone(),
+        micro.with_bound(Some(20_000)),
+    ] {
+        let label = format!("{:?} bound {:?}", spec.flow, spec.bound);
+        let driven = run_campaign(&spec.clone().with_jobs(4));
+        let naive = run_campaign(
+            &spec
+                .clone()
+                .with_engine(sctc_core::EngineKind::Naive)
+                .with_jobs(1),
+        );
+        assert_eq!(driven.fingerprint(), naive.fingerprint(), "{label}");
+        // The naive engine evaluates everything it could; the change-driven
+        // engine strictly less on these workloads.
+        assert_eq!(
+            naive.monitoring.atoms_evaluated, naive.monitoring.atoms_total,
+            "{label}"
+        );
+        assert!(
+            driven.monitoring.atoms_evaluated < driven.monitoring.atoms_total,
+            "{label}"
+        );
+    }
 }
 
 #[test]

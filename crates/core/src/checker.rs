@@ -99,15 +99,6 @@ impl MonitorCounters {
         self.steps_compressed += other.steps_compressed;
         self.dirty_wakeups += other.dirty_wakeups;
     }
-
-    /// Folds the counters into a [`sctc_obs::Metrics`] registry under the
-    /// `monitor.*` namespace.
-    pub fn record(&self, metrics: &mut sctc_obs::Metrics) {
-        metrics.counter_add("monitor.atoms_evaluated", self.atoms_evaluated);
-        metrics.counter_add("monitor.atoms_total", self.atoms_total);
-        metrics.counter_add("monitor.steps_compressed", self.steps_compressed);
-        metrics.counter_add("monitor.dirty_wakeups", self.dirty_wakeups);
-    }
 }
 
 impl fmt::Display for MonitorCounters {

@@ -33,9 +33,13 @@ fn micro_fault_campaign_is_jobs_independent() {
         .with_chunk(3)
         .with_fault_percent(60);
     let serial = run_fault_campaign(&spec.clone().with_jobs(1));
-    let parallel = run_fault_campaign(&spec.with_jobs(2));
+    let parallel = run_fault_campaign(&spec.clone().with_jobs(2));
     assert_eq!(serial.matrix.canonical(), parallel.matrix.canonical());
     assert_eq!(serial.matrix.fingerprint(), parallel.matrix.fingerprint());
+    // The naive reference engine must grade the micro flow's faults alike.
+    let naive = run_fault_campaign(&spec.with_engine(sctc_core::EngineKind::Naive).with_jobs(2));
+    assert_eq!(serial.matrix.canonical(), naive.matrix.canonical());
+    assert_eq!(serial.matrix.fingerprint(), naive.matrix.fingerprint());
 }
 
 #[test]

@@ -1,13 +1,13 @@
 //! Typed metrics registry.
 //!
-//! Unifies the scattered counters the workspace grew over PRs 2–4
-//! (synthesis cache hits, dirty wakeups, compressed steps, fault
-//! detections, …) behind one snapshot/merge API.  A [`Metrics`] table
-//! maps dotted names to typed values: monotone counters (merge by sum),
-//! gauges (merge keeps the maximum — used for sizes and rates where the
-//! campaign-wide extreme is the interesting value), and histograms
-//! (count/sum/min/max, merge pointwise).  `sctc-bench` serializes a
-//! snapshot into `BENCH_obs.json`.
+//! Unifies the workspace's scattered counters (synthesis cache hits,
+//! dirty wakeups, compressed steps, fault detections, …) behind one
+//! snapshot/merge API.  A [`Metrics`] table maps dotted names to typed
+//! values: monotone counters (merge by sum), gauges (merge keeps the
+//! maximum — used for sizes and rates where the campaign-wide extreme is
+//! the interesting value), and histograms (count/sum/min/max, merge
+//! pointwise).  The verification service keeps one registry and returns
+//! a snapshot in its `Telemetry` reply.
 
 use std::collections::BTreeMap;
 use std::fmt;

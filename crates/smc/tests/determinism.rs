@@ -30,6 +30,20 @@ fn planted_campaign_is_jobs_independent_with_early_stopping() {
     // The raced tail is real work, just not reported work.
     assert_eq!(solo.discarded, 0);
     assert!(pool.issued >= pool.samples);
+
+    // The same 10% plant probed from the other side: against theta = 0.8
+    // the SPRT must accept, again well inside the Chernoff budget.
+    let spec = spec.with_query(SmcQuery::new(0.8, 0.05));
+    let solo = run_smc_campaign(&spec.with_jobs(1));
+    let pool = run_smc_campaign(&spec.with_jobs(8));
+    assert_eq!(solo.verdict, SmcVerdict::Holds);
+    assert!(
+        solo.samples < solo.chernoff_bound,
+        "SPRT must accept before the fixed budget: {} vs {}",
+        solo.samples,
+        solo.chernoff_bound
+    );
+    assert_eq!(solo.fingerprint(), pool.fingerprint());
 }
 
 #[test]

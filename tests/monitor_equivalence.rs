@@ -304,6 +304,30 @@ fn telemetry_on_and_off_runs_are_bit_identical() {
         smc_on.fingerprint(),
         "SMC fingerprint moved with the telemetry switch"
     );
+
+    // The span profiler obeys the same discipline: a profiled run finds
+    // exactly what the plain run found, and an unprofiled run collects no
+    // spans at all.
+    let campaign_prof = run_campaign(&spec.clone().with_profile(true));
+    let faults_prof = run_fault_campaign(&faults.clone().with_profile(true));
+    let smc_prof = run_smc_campaign(&smc.with_profile(true));
+    assert_eq!(campaign_on.fingerprint(), campaign_prof.fingerprint());
+    assert_eq!(
+        faults_on.matrix.fingerprint(),
+        faults_prof.matrix.fingerprint()
+    );
+    assert_eq!(smc_on.fingerprint(), smc_prof.fingerprint());
+    for (stack, plain, profiled) in [
+        ("campaign", &campaign_on.spans, &campaign_prof.spans),
+        ("faults", &faults_on.matrix.spans, &faults_prof.matrix.spans),
+        ("smc", &smc_on.matrix.spans, &smc_prof.matrix.spans),
+    ] {
+        assert!(plain.is_empty(), "unprofiled {stack} run collected spans");
+        assert!(
+            !profiled.is_empty(),
+            "profiled {stack} run collected no spans"
+        );
+    }
 }
 
 #[test]
