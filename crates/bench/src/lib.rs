@@ -1,8 +1,7 @@
 //! # sctc-bench — the reproduction harness
 //!
 //! One runner per table/figure of the paper's evaluation (Section 4),
-//! returning structured rows that the `repro` binary renders and the
-//! bench targets time (via the in-tree [`timing`] harness):
+//! returning structured rows that the `repro` binary renders:
 //!
 //! * [`fig7`] — BLAST/CBMC baseline table (exceptions and unwinding
 //!   resource-outs per property),

@@ -20,9 +20,9 @@
 //!    return-code coverage, summed sample/kernel counters, and per-shard +
 //!    aggregate throughput.
 //!
-//! Registration cost stays flat as shards multiply because every shard's
-//! `TableMonitor` shares one cached AR-automaton per distinct formula
-//! through [`sctc_temporal::SynthesisCache`].
+//! Registration cost stays flat as shards multiply because every shard
+//! shares one compiled kernel per distinct formula through
+//! [`sctc_temporal::SynthesisCache::synthesize_compiled`].
 //!
 //! ## Example
 //!

@@ -27,6 +27,7 @@ fn microprocessor_campaign_is_deterministic_across_jobs() {
     assert_eq!(spec.flow, FlowKind::Microprocessor);
     assert_eq!(serial.fingerprint(), parallel.fingerprint());
     assert_eq!(serial.shards.len(), 3);
+    assert!(serial.violations.is_empty(), "{:?}", serial.violations);
     assert!(serial.anomalies.is_empty(), "{:?}", serial.anomalies);
 }
 

@@ -1,6 +1,6 @@
 //! Tseitin CNF construction and 32-bit bit-vector blasting.
 //!
-//! [`CnfBuilder`] wraps a [`Solver`](crate::sat::Solver) and builds circuits
+//! [`CnfBuilder`] wraps a [`Solver`] and builds circuits
 //! gate by gate: every gate output is a fresh literal constrained by its
 //! Tseitin clauses. Bit-vectors are little-endian `Vec<Lit>` of width 32.
 
@@ -82,11 +82,6 @@ impl CnfBuilder {
         self.solver.add_clause(&[l]);
     }
 
-    /// Asserts a disjunction at the top level.
-    pub fn assert_clause(&mut self, lits: &[Lit]) {
-        self.solver.add_clause(lits);
-    }
-
     /// Number of solver variables (size metric).
     pub fn num_vars(&self) -> usize {
         self.solver.num_vars()
@@ -145,7 +140,7 @@ impl CnfBuilder {
     }
 
     /// `o = a ⊕ b`
-    pub fn xor2(&mut self, a: Lit, b: Lit) -> Lit {
+    fn xor2(&mut self, a: Lit, b: Lit) -> Lit {
         if a == self.fls() {
             return b;
         }
@@ -179,7 +174,7 @@ impl CnfBuilder {
     }
 
     /// `o = c ? t : e`
-    pub fn ite(&mut self, c: Lit, t: Lit, e: Lit) -> Lit {
+    fn ite(&mut self, c: Lit, t: Lit, e: Lit) -> Lit {
         if c == self.tru() {
             return t;
         }

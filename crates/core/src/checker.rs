@@ -67,8 +67,7 @@ pub enum EngineKind {
     Compiled,
     /// The synthesized automaton stepped naively: every bound proposition
     /// is re-evaluated on every sample and every sample is one table step.
-    /// Kept as the reference engine for equivalence checks and as the
-    /// "before" side of the monitoring benchmark.
+    /// Kept as the reference engine for equivalence checks.
     Naive,
 }
 
@@ -423,15 +422,6 @@ fn mem_write_label(mem: &Memory, start: u32, len: u32) -> String {
         .unwrap_or_else(|| format!("mem[{start:#010x}..+{len}] write"))
 }
 
-/// Like [`mem_write_label`] for a bitfield watch: `sym.field write` when
-/// the map declares the exact bit range, a raw bit-range form otherwise.
-fn field_write_label(mem: &Memory, addr: u32, lsb: u8, width: u8) -> String {
-    mem.symbols()
-        .and_then(|syms| syms.label_for_field(addr, lsb, width))
-        .map(|name| format!("{name} write"))
-        .unwrap_or_else(|| format!("mem[{addr:#010x}..+4] bits {lsb}+{width} write"))
-}
-
 fn word_in_ram(mem: &Memory, addr: u32) -> bool {
     addr.checked_add(4)
         .map(|end| end <= mem.ram_len())
@@ -446,19 +436,6 @@ fn static_label(prop: &dyn Proposition) -> String {
             let soc_ref = soc.borrow();
             if word_in_ram(&soc_ref.mem, addr) {
                 mem_write_label(&soc_ref.mem, addr, 4)
-            } else {
-                format!("flash MMIO / device word {addr:#010x} (always dirty)")
-            }
-        }
-        Some(Watch::MemField {
-            soc,
-            addr,
-            lsb,
-            width,
-        }) => {
-            let soc_ref = soc.borrow();
-            if word_in_ram(&soc_ref.mem, addr) {
-                field_write_label(&soc_ref.mem, addr, lsb, width)
             } else {
                 format!("flash MMIO / device word {addr:#010x} (always dirty)")
             }
@@ -675,26 +652,6 @@ impl Sctc {
                     )
                 }
             }
-            Some(Watch::MemField {
-                soc,
-                addr,
-                lsb,
-                width,
-            }) => {
-                // Dirty tracking is word-granular: watch the containing
-                // word, refine only the label.
-                if word_in_ram(&soc.borrow().mem, addr) {
-                    let wid = soc.borrow_mut().mem.watch_range(addr, 4);
-                    self.watch_source(Model::Soc(soc.clone())).push((wid, idx));
-                    let label = field_write_label(&soc.borrow().mem, addr, lsb, width);
-                    (false, label)
-                } else {
-                    (
-                        true,
-                        format!("flash MMIO / device word {addr:#010x} (always dirty)"),
-                    )
-                }
-            }
             Some(Watch::Global { interp, name }) => {
                 let wid = interp.borrow_mut().watch_global(&name);
                 self.watch_source(Model::Interp(interp.clone()))
@@ -743,11 +700,6 @@ impl Sctc {
     /// Number of registered properties.
     pub fn property_count(&self) -> usize {
         self.checks.len()
-    }
-
-    /// Number of distinct interned atoms (shared observations count once).
-    pub fn atom_count(&self) -> usize {
-        self.atoms.len()
     }
 
     /// Number of samples taken.
@@ -1550,7 +1502,7 @@ mod tests {
             EngineKind::Compiled,
         )
         .unwrap();
-        assert_eq!(sctc.atom_count(), 2, "`g == 1` interns to one atom");
+        assert_eq!(sctc.atoms.len(), 2, "`g == 1` interns to one atom");
         sctc.sample();
         let c = sctc.counters();
         assert_eq!(c.atoms_total, 3, "naive would evaluate three bindings");

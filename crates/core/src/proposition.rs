@@ -10,7 +10,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use minic::SharedInterp;
-use sctc_cpu::{BitField, SharedSoc};
+use sctc_cpu::SharedSoc;
 
 /// The write-path hook that re-dirties a proposition's interned atom (see
 /// [`Sctc`](crate::Sctc)'s change-driven sampling). Each variant names one
@@ -23,19 +23,6 @@ pub enum Watch {
         soc: SharedSoc,
         /// Word address of the observation.
         addr: u32,
-    },
-    /// A bitfield of a memory word of a microprocessor model. Dirty
-    /// tracking is word-granular (the containing word is watched); the bit
-    /// range only refines the watch's symbolic label.
-    MemField {
-        /// The SoC whose memory is observed.
-        soc: SharedSoc,
-        /// Word address of the containing word.
-        addr: u32,
-        /// Least-significant bit of the field.
-        lsb: u8,
-        /// Field width in bits.
-        width: u8,
     },
     /// A named global of a derived (interpreter) model.
     Global {
@@ -152,7 +139,6 @@ enum WordPred {
     Eq(u32),
     Ne(u32),
     Nonzero,
-    In(Vec<u32>),
 }
 
 impl WordPred {
@@ -161,7 +147,6 @@ impl WordPred {
             WordPred::Eq(x) => v == *x,
             WordPred::Ne(x) => v != *x,
             WordPred::Nonzero => v != 0,
-            WordPred::In(xs) => xs.contains(&v),
         }
     }
 
@@ -170,7 +155,6 @@ impl WordPred {
             WordPred::Eq(x) => format!("eq({x:#x})"),
             WordPred::Ne(x) => format!("ne({x:#x})"),
             WordPred::Nonzero => "nonzero".to_owned(),
-            WordPred::In(xs) => format!("in({xs:?})"),
         }
     }
 }
@@ -211,53 +195,6 @@ impl Proposition for MemWordProp {
         Some(Watch::MemWord {
             soc: self.soc.clone(),
             addr: self.addr,
-        })
-    }
-}
-
-/// A microprocessor-flow proposition over a named bitfield: the containing
-/// word is read through `peek_u32` and the field extracted. The canonical
-/// key embeds the bit range, so field observations never alias whole-word
-/// observations of the same address.
-struct MemFieldProp {
-    name: String,
-    soc: SharedSoc,
-    addr: u32,
-    field: BitField,
-    pred: WordPred,
-}
-
-impl Proposition for MemFieldProp {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn is_true(&mut self) -> bool {
-        self.soc
-            .borrow()
-            .mem
-            .peek_u32(self.addr)
-            .map(|v| self.pred.test(self.field.extract(v)))
-            .unwrap_or(false)
-    }
-
-    fn key(&self) -> Option<String> {
-        Some(format!(
-            "mem@{:x}:field_{}@{:#x}+{}w{}",
-            Rc::as_ptr(&self.soc) as usize,
-            self.pred.canon(),
-            self.addr,
-            self.field.lsb,
-            self.field.width
-        ))
-    }
-
-    fn watch(&self) -> Option<Watch> {
-        Some(Watch::MemField {
-            soc: self.soc.clone(),
-            addr: self.addr,
-            lsb: self.field.lsb,
-            width: self.field.width,
         })
     }
 }
@@ -393,21 +330,6 @@ pub mod mem {
             pred: WordPred::Ne(value),
         })
     }
-
-    /// `mem[addr] ∈ values`
-    pub fn word_in(
-        name: &str,
-        soc: SharedSoc,
-        addr: u32,
-        values: Vec<u32>,
-    ) -> Box<dyn Proposition> {
-        Box::new(MemWordProp {
-            name: name.to_owned(),
-            soc,
-            addr,
-            pred: WordPred::In(values),
-        })
-    }
 }
 
 /// Symbolic microprocessor-flow propositions: the same observations as
@@ -417,11 +339,10 @@ pub mod mem {
 /// Resolution happens once, at construction: a `word_*` proposition over
 /// path `p` is *identical* (same canonical key, same atom) to the `mem`
 /// proposition over `p`'s address, so rewriting a property from addresses
-/// to symbols never changes a fingerprint. `field_*` propositions observe
-/// a named bitfield of a word and get their own key space.
+/// to symbols never changes a fingerprint.
 ///
 /// Paths follow [`SymbolMap::resolve_path`](sctc_cpu::SymbolMap::resolve_path):
-/// `name`, `name[idx]` or `name.field`.
+/// `name` or `name[idx]`.
 ///
 /// # Panics
 ///
@@ -430,9 +351,8 @@ pub mod mem {
 /// not exist is a harness bug, mirroring `CompiledProgram::global_addr`.
 pub mod sym {
     use super::*;
-    use sctc_cpu::Resolved;
 
-    fn resolve(soc: &SharedSoc, path: &str) -> Resolved {
+    fn resolve(soc: &SharedSoc, path: &str) -> u32 {
         let soc_ref = soc.borrow();
         let map = soc_ref
             .mem
@@ -443,29 +363,11 @@ pub mod sym {
     }
 
     fn word(name: &str, soc: SharedSoc, path: &str, pred: WordPred) -> Box<dyn Proposition> {
-        let r = resolve(&soc, path);
-        assert!(
-            r.field.is_none(),
-            "path `{path}` names a bitfield; use the `field_*` constructors"
-        );
+        let addr = resolve(&soc, path);
         Box::new(MemWordProp {
             name: name.to_owned(),
             soc,
-            addr: r.addr,
-            pred,
-        })
-    }
-
-    fn field(name: &str, soc: SharedSoc, path: &str, pred: WordPred) -> Box<dyn Proposition> {
-        let r = resolve(&soc, path);
-        let field = r
-            .field
-            .unwrap_or_else(|| panic!("path `{path}` is a whole word; use the `word_*` constructors"));
-        Box::new(MemFieldProp {
-            name: name.to_owned(),
-            soc,
-            addr: r.addr,
-            field,
+            addr,
             pred,
         })
     }
@@ -483,26 +385,6 @@ pub mod sym {
     /// `*path != value`
     pub fn word_ne(name: &str, soc: SharedSoc, path: &str, value: u32) -> Box<dyn Proposition> {
         word(name, soc, path, WordPred::Ne(value))
-    }
-
-    /// `*path ∈ values`
-    pub fn word_in(
-        name: &str,
-        soc: SharedSoc,
-        path: &str,
-        values: Vec<u32>,
-    ) -> Box<dyn Proposition> {
-        word(name, soc, path, WordPred::In(values))
-    }
-
-    /// `path.field == value` — e.g. `sym::field_eq(.., "eee_status.page", 3)`.
-    pub fn field_eq(name: &str, soc: SharedSoc, path: &str, value: u32) -> Box<dyn Proposition> {
-        field(name, soc, path, WordPred::Eq(value))
-    }
-
-    /// `path.field != 0`
-    pub fn field_nonzero(name: &str, soc: SharedSoc, path: &str) -> Box<dyn Proposition> {
-        field(name, soc, path, WordPred::Nonzero)
     }
 }
 

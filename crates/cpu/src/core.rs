@@ -106,7 +106,7 @@ impl Cpu {
     }
 
     /// Sets a register (writes to `r0` are ignored).
-    pub fn set_reg(&mut self, r: Reg, value: u32) {
+    fn set_reg(&mut self, r: Reg, value: u32) {
         if r != Reg::ZERO {
             self.regs[r.index()] = value;
         }

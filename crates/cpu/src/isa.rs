@@ -436,7 +436,7 @@ impl Instr {
     }
 
     /// Size of this instruction under `Comp16`, in halfwords (1 or 2).
-    pub fn c16_halfwords(self) -> u32 {
+    fn c16_halfwords(self) -> u32 {
         let (_, hi) = self.encode_c16();
         if hi.is_some() {
             2
@@ -493,15 +493,6 @@ impl IsaKind {
         match self {
             IsaKind::Word32 => "word32",
             IsaKind::Comp16 => "comp16",
-        }
-    }
-
-    /// Parses a CLI name produced by [`IsaKind::name`].
-    pub fn from_name(name: &str) -> Option<IsaKind> {
-        match name {
-            "word32" => Some(IsaKind::Word32),
-            "comp16" => Some(IsaKind::Comp16),
-            _ => None,
         }
     }
 
@@ -763,12 +754,10 @@ mod tests {
     }
 
     #[test]
-    fn isa_kind_names_and_bytes_round_trip() {
+    fn isa_kind_bytes_round_trip() {
         for kind in [IsaKind::Word32, IsaKind::Comp16] {
-            assert_eq!(IsaKind::from_name(kind.name()), Some(kind));
             assert_eq!(IsaKind::from_byte(kind.to_byte()), Some(kind));
         }
-        assert_eq!(IsaKind::from_name("thumb"), None);
         assert_eq!(IsaKind::from_byte(9), None);
     }
 }

@@ -11,8 +11,8 @@
 //!   between the fixed 32-bit and the compressed 16/32-bit encoding,
 //! * [`Memory`] — flat RAM plus [`MmioDevice`] dispatch, with the
 //!   side-effect-free [`Memory::peek_u32`] observation interface and an
-//!   attachable [`SymbolMap`] (the typed symbol bus: names, widths,
-//!   bitfields over raw words),
+//!   attachable [`SymbolMap`] (the typed symbol bus: names and widths
+//!   over raw words),
 //! * [`Cpu`] — fetch/decode/execute core,
 //! * [`assemble`] — a two-pass assembler for firmware in tests and examples,
 //! * [`Soc`]/[`CpuProcess`] — integration with the [`sctc_sim`] kernel:
@@ -46,4 +46,4 @@ pub use core::{Cpu, CpuError, StepOutcome};
 pub use isa::{AluOp, BranchCond, DecodeError, Instr, IsaKind, Reg};
 pub use memory::{MemError, Memory, MmioDevice};
 pub use soc::{share, CpuProcess, SharedSoc, Soc};
-pub use symbol::{BitField, Resolved, Symbol, SymbolMap};
+pub use symbol::{Symbol, SymbolMap};

@@ -99,7 +99,7 @@ pub struct Memory {
     watches: Vec<WatchRange>,
     /// See [`Memory::watch_epoch`].
     watch_epoch: u64,
-    /// The typed symbol bus, when attached: names/widths/bitfields for
+    /// The typed symbol bus, when attached: names and widths for
     /// the words of this image (see [`SymbolMap`]). Display-layer only —
     /// attachment never changes access semantics.
     symbols: Option<Rc<SymbolMap>>,

@@ -9,7 +9,7 @@ use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
-use sctc_sim::{Activation, Clock, Notify, Process, ProcessContext, Simulation};
+use sctc_sim::{Activation, Clock, Process, ProcessContext, Simulation};
 
 use crate::core::{Cpu, CpuError, StepOutcome};
 use crate::memory::Memory;
@@ -29,15 +29,6 @@ impl Soc {
     pub fn new(mem: Memory) -> Self {
         Soc {
             cpu: Cpu::new(0),
-            mem,
-            fault: None,
-        }
-    }
-
-    /// Creates a SoC with an explicit reset PC.
-    pub fn with_reset_pc(mem: Memory, reset_pc: u32) -> Self {
-        Soc {
-            cpu: Cpu::new(reset_pc),
             mem,
             fault: None,
         }
@@ -128,48 +119,6 @@ impl CpuProcess {
             vec![clock.posedge()],
         )
     }
-
-    /// Spawns the processor process and additionally notifies
-    /// `retired_event` (delta) after every executed instruction — the hook
-    /// the ESW monitor uses to sample memory once per cycle.
-    pub fn spawn_with_retired_event(
-        sim: &mut Simulation,
-        clock: &Clock,
-        soc: SharedSoc,
-        retired_event: sctc_sim::Event,
-    ) -> sctc_sim::ProcessId {
-        struct WithEvent {
-            soc: SharedSoc,
-            event: sctc_sim::Event,
-            seen_halt: bool,
-        }
-        impl Process for WithEvent {
-            fn resume(&mut self, ctx: &mut ProcessContext<'_>) -> Activation {
-                // Stop only one clock edge after halt so that processes
-                // sensitive to the retired event still observe the final
-                // architectural state.
-                if self.seen_halt {
-                    ctx.stop();
-                    return Activation::Terminate;
-                }
-                let outcome = self.soc.borrow_mut().cycle();
-                ctx.notify(self.event, Notify::Delta);
-                if let StepOutcome::Halted = outcome {
-                    self.seen_halt = true;
-                }
-                Activation::WaitStatic
-            }
-        }
-        sim.spawn_deferred(
-            "cpu",
-            Box::new(WithEvent {
-                soc,
-                event: retired_event,
-                seen_halt: false,
-            }),
-            vec![clock.posedge()],
-        )
-    }
 }
 
 impl Process for CpuProcess {
@@ -205,7 +154,9 @@ mod tests {
         let prog = assemble(source).unwrap();
         let mut mem = Memory::new(65536);
         mem.load_image(prog.origin, &prog.words);
-        let soc = share(Soc::with_reset_pc(mem, prog.origin));
+        let mut soc = Soc::new(mem);
+        soc.cpu = Cpu::new(prog.origin);
+        let soc = share(soc);
         let mut sim = Simulation::new();
         let clk = sim.create_clock("clk", Duration::from_ticks(10));
         CpuProcess::spawn(&mut sim, &clk, soc.clone());
@@ -235,20 +186,6 @@ mod tests {
         );
         sim.run_to_completion().unwrap();
         assert_eq!(soc.borrow().mem.peek_u32(0x200).unwrap(), 42);
-    }
-
-    #[test]
-    fn retired_event_fires_per_instruction() {
-        let prog = assemble("nop\nnop\nhalt").unwrap();
-        let mut mem = Memory::new(4096);
-        mem.load_image(prog.origin, &prog.words);
-        let soc = share(Soc::new(mem));
-        let mut sim = Simulation::new();
-        let clk = sim.create_clock("clk", Duration::from_ticks(10));
-        let retired = sim.create_event("retired");
-        CpuProcess::spawn_with_retired_event(&mut sim, &clk, soc, retired);
-        sim.run_to_completion().unwrap();
-        assert_eq!(sim.event_fire_count(retired), 3);
     }
 
     #[test]

@@ -1,9 +1,8 @@
-//! The typed symbol bus: names, widths and bitfields over raw memory.
+//! The typed symbol bus: names and widths over raw memory.
 //!
 //! A [`SymbolMap`] describes what the words of a [`Memory`](crate::Memory)
-//! *mean*: which global lives at which address, how many words it spans,
-//! and which named bitfields a word carries (`eee_status.error`-style).
-//! The mini-C code generator builds one from its global layout; the
+//! *mean*: which global lives at which address and how many words it
+//! spans. The mini-C code generator builds one from its global layout; the
 //! checker and witness provenance resolve raw addresses through it so
 //! diagnoses read `eee_read_value write` instead of
 //! `mem[0x00010018..+4] write`, and propositions can be bound by name
@@ -16,29 +15,6 @@
 use std::collections::HashMap;
 use std::fmt;
 
-/// A named bitfield inside a one-word symbol.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct BitField {
-    /// Field name (the part after the dot in `sym.field`).
-    pub name: String,
-    /// Least-significant bit of the field.
-    pub lsb: u8,
-    /// Field width in bits (1..=32).
-    pub width: u8,
-}
-
-impl BitField {
-    /// Extracts the field's value from its containing word.
-    pub fn extract(&self, word: u32) -> u32 {
-        let mask = if self.width >= 32 {
-            u32::MAX
-        } else {
-            (1u32 << self.width) - 1
-        };
-        (word >> self.lsb) & mask
-    }
-}
-
 /// One named, typed region of memory.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Symbol {
@@ -48,8 +24,6 @@ pub struct Symbol {
     pub addr: u32,
     /// Length in 32-bit words (> 1 for arrays).
     pub words: u32,
-    /// Declared bitfields (meaningful for one-word symbols).
-    pub fields: Vec<BitField>,
 }
 
 impl Symbol {
@@ -59,19 +33,8 @@ impl Symbol {
     }
 }
 
-/// A symbolic path resolved to a concrete observation: a word address
-/// plus, when the path names a bitfield, the field's bit range.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Resolved {
-    /// Word address of the containing word.
-    pub addr: u32,
-    /// The bitfield, if the path had a `.field` component.
-    pub field: Option<BitField>,
-}
-
-/// The symbol table over one memory image. Build with [`SymbolMap::insert`]
-/// / [`SymbolMap::define_field`], attach to a memory with
-/// [`crate::Memory::attach_symbols`].
+/// The symbol table over one memory image. Build with [`SymbolMap::insert`],
+/// attach to a memory with [`crate::Memory::attach_symbols`].
 #[derive(Clone, Default, Debug)]
 pub struct SymbolMap {
     /// Symbols sorted by base address (non-overlapping).
@@ -102,7 +65,6 @@ impl SymbolMap {
             name: name.to_owned(),
             addr,
             words,
-            fields: Vec::new(),
         };
         let pos = self.syms.partition_point(|s| s.addr < addr);
         let no_overlap = (pos == 0 || self.syms[pos - 1].end() <= addr)
@@ -113,33 +75,6 @@ impl SymbolMap {
         for (i, s) in self.syms.iter().enumerate().skip(pos) {
             self.by_name.insert(s.name.clone(), i);
         }
-    }
-
-    /// Declares a named bitfield on a previously inserted symbol.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the symbol is unknown, the field name is taken, or the
-    /// bit range does not fit one 32-bit word.
-    pub fn define_field(&mut self, sym: &str, field: &str, lsb: u8, width: u8) {
-        let &i = self
-            .by_name
-            .get(sym)
-            .unwrap_or_else(|| panic!("unknown symbol `{sym}`"));
-        assert!(
-            width >= 1 && (lsb as u32 + width as u32) <= 32,
-            "bitfield `{sym}.{field}` does not fit a 32-bit word"
-        );
-        let fields = &mut self.syms[i].fields;
-        assert!(
-            fields.iter().all(|f| f.name != field),
-            "duplicate bitfield `{sym}.{field}`"
-        );
-        fields.push(BitField {
-            name: field.to_owned(),
-            lsb,
-            width,
-        });
     }
 
     /// Looks up a symbol by name.
@@ -159,32 +94,18 @@ impl SymbolMap {
         (addr < sym.end()).then_some(sym)
     }
 
-    /// Resolves a symbolic path — `name`, `name[idx]` or `name.field` —
-    /// to a word address and optional bitfield.
-    pub fn resolve_path(&self, path: &str) -> Option<Resolved> {
-        if let Some((base, field)) = path.split_once('.') {
-            let sym = self.symbol(base)?;
-            let field = sym.fields.iter().find(|f| f.name == field)?.clone();
-            return Some(Resolved {
-                addr: sym.addr,
-                field: Some(field),
-            });
-        }
+    /// Resolves a symbolic path — `name` or `name[idx]` — to a word
+    /// address.
+    pub fn resolve_path(&self, path: &str) -> Option<u32> {
         if let Some((base, rest)) = path.split_once('[') {
             let idx: u32 = rest.strip_suffix(']')?.parse().ok()?;
             let sym = self.symbol(base)?;
             if idx >= sym.words {
                 return None;
             }
-            return Some(Resolved {
-                addr: sym.addr + 4 * idx,
-                field: None,
-            });
+            return Some(sym.addr + 4 * idx);
         }
-        self.symbol(path).map(|sym| Resolved {
-            addr: sym.addr,
-            field: None,
-        })
+        self.symbol(path).map(|sym| sym.addr)
     }
 
     /// Renders a symbolic label for a byte range, or `None` when the
@@ -208,18 +129,6 @@ impl SymbolMap {
             Some(format!("{}[{first}..{last}]", sym.name))
         }
     }
-
-    /// Renders a symbolic label for a bitfield watch on `addr`, or `None`
-    /// when no declared field matches the bit range exactly (callers fall
-    /// back to `sym.{lsb}+{width}` / raw forms).
-    pub fn label_for_field(&self, addr: u32, lsb: u8, width: u8) -> Option<String> {
-        let sym = self.containing(addr)?;
-        let field = sym
-            .fields
-            .iter()
-            .find(|f| f.lsb == lsb && f.width == width)?;
-        Some(format!("{}.{}", sym.name, field.name))
-    }
 }
 
 /// Lists the map one symbol per line — a tiny linker-map view for
@@ -228,15 +137,6 @@ impl fmt::Display for SymbolMap {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for sym in &self.syms {
             writeln!(f, "{:#010x} +{:<3} {}", sym.addr, 4 * sym.words, sym.name)?;
-            for field in &sym.fields {
-                writeln!(
-                    f,
-                    "             .{} [{}..{}]",
-                    field.name,
-                    field.lsb,
-                    field.lsb + field.width - 1
-                )?;
-            }
         }
         Ok(())
     }
@@ -251,8 +151,6 @@ mod tests {
         map.insert("flag", 0x1_0004, 1);
         map.insert("buf", 0x1_0010, 4);
         map.insert("eee_status", 0x1_0000, 1);
-        map.define_field("eee_status", "error", 0, 1);
-        map.define_field("eee_status", "page", 4, 8);
         map
     }
 
@@ -262,7 +160,6 @@ mod tests {
         let addrs: Vec<u32> = map.symbols().iter().map(|s| s.addr).collect();
         assert_eq!(addrs, vec![0x1_0000, 0x1_0004, 0x1_0010]);
         assert_eq!(map.symbol("flag").unwrap().addr, 0x1_0004);
-        assert_eq!(map.symbol("eee_status").unwrap().fields.len(), 2);
     }
 
     #[test]
@@ -276,48 +173,22 @@ mod tests {
     }
 
     #[test]
-    fn resolve_path_handles_names_indices_and_fields() {
+    fn resolve_path_handles_names_and_indices() {
         let map = demo();
-        assert_eq!(map.resolve_path("flag").unwrap().addr, 0x1_0004);
-        assert_eq!(map.resolve_path("buf[2]").unwrap().addr, 0x1_0018);
+        assert_eq!(map.resolve_path("flag"), Some(0x1_0004));
+        assert_eq!(map.resolve_path("buf[2]"), Some(0x1_0018));
         assert!(map.resolve_path("buf[4]").is_none());
-        let r = map.resolve_path("eee_status.error").unwrap();
-        assert_eq!(r.addr, 0x1_0000);
-        let f = r.field.unwrap();
-        assert_eq!((f.lsb, f.width), (0, 1));
-        assert!(map.resolve_path("eee_status.missing").is_none());
         assert!(map.resolve_path("nope").is_none());
     }
 
     #[test]
-    fn bitfield_extraction_masks_and_shifts() {
-        let f = BitField {
-            name: "page".into(),
-            lsb: 4,
-            width: 8,
-        };
-        assert_eq!(f.extract(0x0000_0ab0), 0xab);
-        let whole = BitField {
-            name: "w".into(),
-            lsb: 0,
-            width: 32,
-        };
-        assert_eq!(whole.extract(u32::MAX), u32::MAX);
-    }
-
-    #[test]
-    fn labels_cover_scalars_arrays_and_fields() {
+    fn labels_cover_scalars_and_arrays() {
         let map = demo();
         assert_eq!(map.label_for_range(0x1_0004, 4).unwrap(), "flag");
         assert_eq!(map.label_for_range(0x1_0014, 4).unwrap(), "buf[1]");
         assert_eq!(map.label_for_range(0x1_0010, 8).unwrap(), "buf[0..1]");
         assert!(map.label_for_range(0x1_0008, 4).is_none());
         assert!(map.label_for_range(0x1_001c, 8).is_none(), "past the end");
-        assert_eq!(
-            map.label_for_field(0x1_0000, 0, 1).unwrap(),
-            "eee_status.error"
-        );
-        assert!(map.label_for_field(0x1_0000, 1, 1).is_none());
     }
 
     #[test]

@@ -15,7 +15,7 @@ use sctc_cpu::Soc;
 use stimuli::{ReturnCoverage, Stimulus};
 
 use crate::flash::{FaultKind, SharedFlash};
-use crate::ops::{Op, RetCode, NUM_IDS};
+use crate::ops::{Op, NUM_IDS};
 use crate::reference::Request;
 
 /// A shareable coverage collector (the driver is consumed by the flow, so
@@ -40,8 +40,6 @@ pub struct EeePlan {
     remaining: u64,
     fault_percent: u32,
     preamble: Vec<Request>,
-    /// Stop early once every declared return code has been covered.
-    stop_on_full_coverage: bool,
 }
 
 impl EeePlan {
@@ -60,25 +58,12 @@ impl EeePlan {
                 Request::new(Op::Startup1, 0, 0),
                 Request::new(Op::Format, 0, 0),
             ],
-            stop_on_full_coverage: false,
         }
-    }
-
-    /// Removes the startup preamble (fully random from the first case).
-    pub fn without_preamble(mut self) -> Self {
-        self.preamble.clear();
-        self
     }
 
     /// Sets the per-case flash-fault injection probability in percent.
     pub fn with_fault_percent(mut self, percent: u32) -> Self {
         self.fault_percent = percent;
-        self
-    }
-
-    /// Ends the run as soon as the coverage collector reports 100%.
-    pub fn stop_on_full_coverage(mut self) -> Self {
-        self.stop_on_full_coverage = true;
         self
     }
 
@@ -170,11 +155,6 @@ impl InterpDriver for EeeInterpDriver {
     }
 
     fn next_case(&mut self, interp: &mut Interp) -> bool {
-        if self.plan.stop_on_full_coverage
-            && (self.coverage.borrow().overall_percent() - 100.0).abs() < f64::EPSILON
-        {
-            return false;
-        }
         let Some((req, fault)) = self.plan.draw() else {
             return false;
         };
@@ -270,11 +250,6 @@ impl SocDriver for EeeSocDriver {
     }
 
     fn next_case(&mut self, soc: &mut Soc) -> bool {
-        if self.plan.stop_on_full_coverage
-            && (self.coverage.borrow().overall_percent() - 100.0).abs() < f64::EPSILON
-        {
-            return false;
-        }
         let Some((req, fault)) = self.plan.draw() else {
             return false;
         };
@@ -356,17 +331,4 @@ impl InterpDriver for ScriptedInterpDriver {
         interp.start_main().expect("EEE program has a main");
         true
     }
-}
-
-/// Convenience: the expected observations for a script under the fault-free
-/// reference model.
-pub fn reference_observations(script: &[Request]) -> Vec<(Request, RetCode, Option<i32>)> {
-    let mut model = crate::reference::RefEee::new();
-    script
-        .iter()
-        .map(|&req| {
-            let (ret, value) = model.apply(req);
-            (req, ret, value)
-        })
-        .collect()
 }

@@ -123,8 +123,6 @@ pub struct DataFlash {
     fault_mask: u32,
     cmd_addr: u32,
     cmd_data: u32,
-    erases: u64,
-    programs: u64,
     device_cycles: u64,
     stuck_one: Vec<u32>,
     stuck_zero: Vec<u32>,
@@ -148,8 +146,6 @@ impl DataFlash {
             fault_mask: 0,
             cmd_addr: 0,
             cmd_data: 0,
-            erases: 0,
-            programs: 0,
             device_cycles: 0,
             stuck_one: vec![0; NUM_PAGES * PAGE_WORDS],
             stuck_zero: vec![0; NUM_PAGES * PAGE_WORDS],
@@ -177,7 +173,7 @@ impl DataFlash {
     /// # Panics
     ///
     /// Panics if `word` is out of range.
-    pub fn word_read(&mut self, word: usize) -> u32 {
+    fn word_read(&mut self, word: usize) -> u32 {
         let mut value = self.word(word);
         if let Some((w, mask)) = self.transient {
             if w == word {
@@ -188,23 +184,13 @@ impl DataFlash {
         value
     }
 
-    /// Total erase commands accepted (wear metric).
-    pub fn erase_count(&self) -> u64 {
-        self.erases
-    }
-
-    /// Total program commands accepted.
-    pub fn program_count(&self) -> u64 {
-        self.programs
-    }
-
     /// Arms a one-shot fault.
     pub fn inject_fault(&mut self, kind: FaultKind) {
         self.fault_mask |= kind.bit();
     }
 
     /// Returns `true` while a command is in progress.
-    pub fn is_busy(&self) -> bool {
+    fn is_busy(&self) -> bool {
         self.busy_left > 0
     }
 
@@ -240,9 +226,9 @@ impl DataFlash {
     }
 
     /// Arms a one-shot read disturbance: the next hardware read of `word`
-    /// (through [`DataFlash::word_read`]) returns the stored value with
-    /// `bit` flipped; the cell itself is unharmed. Re-arming replaces a
-    /// pending disturbance.
+    /// (through the read window, not [`DataFlash::word`]) returns the
+    /// stored value with `bit` flipped; the cell itself is unharmed.
+    /// Re-arming replaces a pending disturbance.
     pub fn arm_transient_read(&mut self, word: usize, bit: u32) {
         assert!(word < self.words.len(), "transient word out of range");
         self.transient = Some((word, 1 << (bit & 31)));
@@ -250,7 +236,7 @@ impl DataFlash {
 
     /// Power-cycles the controller: volatile command state (busy counter,
     /// status, pending error, address/data latches) is lost; the array,
-    /// wear counters, armed faults and the device-cycle count persist. The
+    /// armed faults and the device-cycle count persist. The
     /// monotonic device-cycle count is the campaign's notion of flash time,
     /// so it deliberately survives the reboot.
     pub fn power_cycle(&mut self) {
@@ -286,7 +272,6 @@ impl DataFlash {
                     self.status = status::ERROR;
                     return;
                 }
-                self.erases += 1;
                 self.busy_left = ERASE_BUSY_CYCLES;
                 self.status = status::BUSY;
                 if self.take_fault(FaultKind::EraseFail) {
@@ -307,7 +292,6 @@ impl DataFlash {
                     self.status = status::ERROR;
                     return;
                 }
-                self.programs += 1;
                 self.busy_left = PROGRAM_BUSY_CYCLES;
                 self.status = status::BUSY;
                 if self.take_fault(FaultKind::ProgramFail) {
@@ -580,7 +564,6 @@ mod tests {
         f.reg_write(0x0, 2);
         settle(&mut f);
         assert_eq!(f.word(3), 0x1234_0000);
-        assert_eq!(f.program_count(), 2);
     }
 
     #[test]
@@ -595,7 +578,6 @@ mod tests {
         f.reg_write(0x0, 1); // erase
         settle(&mut f);
         assert_eq!(f.word(PAGE_WORDS + 1), ERASED);
-        assert_eq!(f.erase_count(), 1);
     }
 
     #[test]

@@ -118,11 +118,6 @@ impl RetCode {
     pub fn code(self) -> i32 {
         self as i32
     }
-
-    /// Parses a software return value.
-    pub fn from_code(code: i32) -> Option<RetCode> {
-        RetCode::ALL.into_iter().find(|r| r.code() == code)
-    }
 }
 
 impl fmt::Display for RetCode {
@@ -147,15 +142,6 @@ pub const RECORDS_PER_PAGE: i32 = 15;
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn codes_round_trip() {
-        for r in RetCode::ALL {
-            assert_eq!(RetCode::from_code(r.code()), Some(r));
-        }
-        assert_eq!(RetCode::from_code(0), None);
-        assert_eq!(RetCode::from_code(99), None);
-    }
 
     #[test]
     fn every_op_specifies_ok() {

@@ -159,13 +159,13 @@ impl FaultSession {
 
     /// `true` while the post-cut recovery protocol is running; drivers
     /// mirror it into the `tb_reset` observation global.
-    pub fn reset_active(&self) -> bool {
+    fn reset_active(&self) -> bool {
         self.reset_active
     }
 
     /// Draws the next request: recovery steps take priority over the
     /// planned stream. Injects the scheduled fault of a planned case.
-    pub fn next_request(&mut self) -> Option<Request> {
+    fn next_request(&mut self) -> Option<Request> {
         if let Some(step) = self.recovery.pop_front() {
             let req = step_request(step);
             self.in_flight = Some(InFlight::Recovery { req, step });
@@ -232,7 +232,7 @@ impl FaultSession {
 
     /// Polled by the flows' power hooks: `true` exactly once, when an
     /// armed cut's device-cycle target has been reached mid-case.
-    pub fn should_cut(&mut self) -> bool {
+    fn should_cut(&mut self) -> bool {
         let Some(target) = self.cut_target else {
             return false;
         };
@@ -249,7 +249,7 @@ impl FaultSession {
     /// Called by the flow after it tore the ESW down and restarted it: the
     /// flash loses volatile state but keeps the array, the shadow model
     /// loses its startup state, and the recovery protocol is queued.
-    pub fn on_power_restored(&mut self) {
+    fn on_power_restored(&mut self) {
         let interrupted = self.in_flight.take();
         self.flash.borrow_mut().power_cycle();
         let committed = self.shadow.records();
@@ -281,7 +281,7 @@ impl FaultSession {
 
     /// Records one finished case: deviation detection for planned cases,
     /// protocol advancement for recovery cases.
-    pub fn finish_case(&mut self, ret: i32, read_value: i32) {
+    fn finish_case(&mut self, ret: i32, read_value: i32) {
         let Some(in_flight) = self.in_flight.take() else {
             return; // interrupted by a cut; the case does not count
         };

@@ -152,7 +152,7 @@ impl CompiledProgram {
     /// every program global with its word extent. [`Self::build_memory`]
     /// attaches this to the memory so observers (checker atoms, witness
     /// provenance) can name state symbolically.
-    pub fn symbol_map(&self) -> SymbolMap {
+    fn symbol_map(&self) -> SymbolMap {
         let mut map = SymbolMap::new();
         map.insert("__fname", self.fname_addr, 1);
         for (name, &addr) in &self.global_addrs {

@@ -373,7 +373,7 @@ impl Interp {
     }
 
     /// Returns the function currently at the top of the call stack.
-    pub fn current_function(&self) -> Option<FuncId> {
+    fn current_function(&self) -> Option<FuncId> {
         self.frames.last().map(|f| f.func)
     }
 
@@ -387,17 +387,6 @@ impl Interp {
     /// Reads a global scalar (or element 0 of an array) by id.
     pub fn global(&self, id: crate::ir::GlobalId) -> i32 {
         self.globals[self.global_base[id.0 as usize]]
-    }
-
-    /// Reads a global array element.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index is out of bounds.
-    pub fn global_elem(&self, id: crate::ir::GlobalId, index: usize) -> i32 {
-        let g = self.prog.global(id);
-        assert!(index < g.len, "global element index out of bounds");
-        self.globals[self.global_base[id.0 as usize] + index]
     }
 
     /// Reads a global scalar by name.
@@ -434,11 +423,6 @@ impl Interp {
     /// Returns the memory model.
     pub fn mem(&self) -> &dyn EswMemory {
         self.mem.as_ref()
-    }
-
-    /// Returns the memory model mutably (testbench fault injection).
-    pub fn mem_mut(&mut self) -> &mut dyn EswMemory {
-        self.mem.as_mut()
     }
 
     /// Executes one statement. Returns the state afterwards.

@@ -1,9 +1,9 @@
 //! Typed, resolved intermediate representation of mini-C programs.
 //!
-//! The IR is produced by the [type checker](crate::typeck) and consumed by
-//! the [interpreter](crate::interp), the [code generator](crate::codegen)
-//! and the [CFG builder](crate::cfg). Its two invariants matter to all of
-//! them:
+//! The IR is produced by the type checker ([`lower`](crate::lower)) and
+//! consumed by the interpreter ([`Interp`](crate::Interp)), the
+//! [code generator](crate::codegen) and the baseline checkers
+//! `checkers::{bmc, predabs}`. Its two invariants hold for every consumer:
 //!
 //! 1. **Calls are statements.** Nested calls are hoisted into temporaries by
 //!    the lowering pass, so expression evaluation is pure. This is what

@@ -10,8 +10,7 @@
 //! * [`VirtualMemory`]/[`EswMemory`] — the virtual memory model that
 //!   replaces direct `*(addr)` accesses in the derived model,
 //! * [`compile`](codegen::compile) — code generator targeting the
-//!   [`sctc_cpu`] microprocessor model for the first approach,
-//! * [`cfg`] — control-flow graphs for the baseline formal checkers.
+//!   [`sctc_cpu`] microprocessor model for the first approach.
 //!
 //! ## Example
 //!
@@ -30,7 +29,6 @@
 #![warn(missing_docs)]
 
 pub mod ast;
-pub mod cfg;
 pub mod codegen;
 mod deriver;
 mod interp;

@@ -64,8 +64,6 @@ pub trait EswMemory {
 #[derive(Clone, Debug, Default)]
 pub struct VirtualMemory {
     words: HashMap<u32, u32>,
-    reads: u64,
-    writes: u64,
 }
 
 impl VirtualMemory {
@@ -73,26 +71,14 @@ impl VirtualMemory {
     pub fn new() -> Self {
         VirtualMemory::default()
     }
-
-    /// Number of read requests served.
-    pub fn read_count(&self) -> u64 {
-        self.reads
-    }
-
-    /// Number of write requests served.
-    pub fn write_count(&self) -> u64 {
-        self.writes
-    }
 }
 
 impl EswMemory for VirtualMemory {
     fn read(&mut self, addr: u32) -> Result<u32, MemFault> {
-        self.reads += 1;
         Ok(self.words.get(&addr).copied().unwrap_or(0))
     }
 
     fn write(&mut self, addr: u32, value: u32) -> Result<(), MemFault> {
-        self.writes += 1;
         self.words.insert(addr, value);
         Ok(())
     }
@@ -111,19 +97,6 @@ mod tests {
         let mut vm = VirtualMemory::new();
         assert_eq!(vm.read(0).unwrap(), 0);
         assert_eq!(vm.peek(0xffff_fffc).unwrap(), 0);
-    }
-
-    #[test]
-    fn counters_track_requests() {
-        let mut vm = VirtualMemory::new();
-        vm.write(4, 1).unwrap();
-        vm.write(8, 2).unwrap();
-        let _ = vm.read(4).unwrap();
-        assert_eq!(vm.write_count(), 2);
-        assert_eq!(vm.read_count(), 1);
-        // Peeks are not counted: they model the checker, not the software.
-        let _ = vm.peek(4).unwrap();
-        assert_eq!(vm.read_count(), 1);
     }
 
     #[test]

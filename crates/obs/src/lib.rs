@@ -4,7 +4,7 @@
 //! The paper's value proposition is *debuggability of temporal
 //! failures* — SCTC tells the engineer where on the simulated trace an
 //! FLTL property failed so the surrounding EEPROM-emulation state can
-//! be inspected.  This crate supplies the four pillars that turn the
+//! be inspected.  This crate supplies the five pillars that turn the
 //! reproduction's verdict oracle into a debuggable tool:
 //!
 //! * [`witness`] — bounded counterexample [`Witness`] extraction: the

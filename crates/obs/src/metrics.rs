@@ -60,7 +60,7 @@ impl Default for Histogram {
 impl Histogram {
     /// The bucket index a value falls into (total over all reals:
     /// non-finite and tiny values clamp into the edge buckets).
-    pub fn bucket_index(value: f64) -> usize {
+    fn bucket_index(value: f64) -> usize {
         (0..HISTOGRAM_BUCKETS - 1)
             .find(|&i| value <= bucket_bound(i))
             .unwrap_or(HISTOGRAM_BUCKETS - 1)

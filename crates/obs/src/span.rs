@@ -12,9 +12,10 @@
 //! Internally the profiler is a tree, not a string table: each distinct
 //! call path is resolved once to a node, and entering a span is a
 //! pointer-compare scan over the current node's children.  The hot path
-//! never allocates and never joins strings.  For very high-frequency
-//! spans (every checker sample, every automaton step) there is
-//! [`SpanProfiler::enter_sampled`]: counts stay exact, but only one in
+//! never allocates and never joins strings.  Very high-frequency spans
+//! (every checker sample, every automaton step) are ticked locally by
+//! their caller and folded in through [`SpanProfiler::resolve`] and
+//! [`SpanProfiler::add_counts`]: counts stay exact, but only one in
 //! [`SAMPLE_RATE`] entries takes timestamps, and the snapshot scales the
 //! measured wall by `count / timed`.  That keeps the per-sample cost to
 //! a counter bump on the other entries.
@@ -29,9 +30,9 @@ use std::fmt;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
-/// Deterministic timing rate of [`SpanProfiler::enter_sampled`]: one in
-/// this many entries is timed (the 1st, the 65th, ...). Counts stay
-/// exact; walls are scaled back up at snapshot time.
+/// Deterministic timing rate of the sampled hot spans: one in this many
+/// entries is timed (the 1st, the 65th, ...). Counts stay exact; walls
+/// are scaled back up at snapshot time.
 pub const SAMPLE_RATE: u64 = 64;
 
 /// Aggregate for one span path.
@@ -219,22 +220,18 @@ impl SpanProfiler {
         node.wall += wall;
     }
 
-    /// Makes `name`'s node current and decides whether this entry takes
-    /// timestamps.
-    fn enter_impl(&mut self, name: &'static str, sampled: bool) -> (usize, bool) {
+    /// Makes `name`'s node current and counts the entry.
+    fn enter_impl(&mut self, name: &'static str) -> usize {
         let idx = self.child(self.current, name);
         self.current = idx;
-        let node = &mut self.nodes[idx];
-        node.count += 1;
-        (idx, !sampled || node.count % SAMPLE_RATE == 1)
+        self.nodes[idx].count += 1;
+        idx
     }
 
-    fn exit_impl(&mut self, idx: usize, elapsed: Option<Duration>) {
+    fn exit_impl(&mut self, idx: usize, wall: Duration) {
         let node = &mut self.nodes[idx];
-        if let Some(wall) = elapsed {
-            node.timed += 1;
-            node.wall += wall;
-        }
+        node.timed += 1;
+        node.wall += wall;
         self.current = node.parent;
     }
 
@@ -242,23 +239,11 @@ impl SpanProfiler {
     /// entry is timed — use this for per-phase spans (`simulate`,
     /// `synthesis`), not per-sample ones.
     pub fn enter(profiler: &SharedProfiler, name: &'static str) -> SpanGuard {
-        let (node, _) = profiler.borrow_mut().enter_impl(name, false);
+        let node = profiler.borrow_mut().enter_impl(name);
         SpanGuard {
             profiler: Rc::clone(profiler),
             node,
-            start: Some(Instant::now()),
-        }
-    }
-
-    /// Enters a high-frequency span: the count is exact, but only one in
-    /// [`SAMPLE_RATE`] entries takes timestamps (the snapshot scales the
-    /// wall back up).
-    pub fn enter_sampled(profiler: &SharedProfiler, name: &'static str) -> SpanGuard {
-        let (node, timed) = profiler.borrow_mut().enter_impl(name, true);
-        SpanGuard {
-            profiler: Rc::clone(profiler),
-            node,
-            start: timed.then(Instant::now),
+            start: Instant::now(),
         }
     }
 
@@ -266,16 +251,6 @@ impl SpanProfiler {
     /// is a single `Option` branch.
     pub fn maybe_enter(profiler: &Option<SharedProfiler>, name: &'static str) -> Option<SpanGuard> {
         profiler.as_ref().map(|p| SpanProfiler::enter(p, name))
-    }
-
-    /// Sampled-timing variant of [`SpanProfiler::maybe_enter`].
-    pub fn maybe_enter_sampled(
-        profiler: &Option<SharedProfiler>,
-        name: &'static str,
-    ) -> Option<SpanGuard> {
-        profiler
-            .as_ref()
-            .map(|p| SpanProfiler::enter_sampled(p, name))
     }
 
     /// The aggregated stats so far: walks the call tree, joins paths,
@@ -320,12 +295,12 @@ impl SpanProfiler {
 pub struct SpanGuard {
     profiler: SharedProfiler,
     node: usize,
-    start: Option<Instant>,
+    start: Instant,
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let elapsed = self.start.map(|s| s.elapsed());
+        let elapsed = self.start.elapsed();
         self.profiler.borrow_mut().exit_impl(self.node, elapsed);
     }
 }
@@ -374,15 +349,26 @@ mod tests {
     #[test]
     fn sampled_spans_keep_exact_counts_and_scale_walls() {
         let profiler = SpanProfiler::shared();
-        let entries = 3 * SAMPLE_RATE + 7;
-        for _ in 0..entries {
-            let _g = SpanProfiler::enter_sampled(&profiler, "hot");
-        }
+        // A hot span ticked locally, as the checker does: entries 1, 65,
+        // 129 and 193 of 199 were timed, at 4 µs each.
+        let count = 3 * SAMPLE_RATE + 7;
+        let timed = count.div_ceil(SAMPLE_RATE);
+        let node = profiler.borrow_mut().resolve(&["sample", "automaton-step"]);
+        profiler
+            .borrow_mut()
+            .add_counts(node, count, timed, Duration::from_micros(4 * timed));
         let stats = SpanProfiler::snapshot(&profiler);
-        let entry = stats.get("hot").unwrap();
-        // Counts are exact even though only entries 1, 65, 129, ... were
-        // timed; the (tiny) measured wall is scaled, never dropped.
-        assert_eq!(entry.count, entries);
+        let entry = stats.get("sample/automaton-step").unwrap();
+        assert_eq!(entry.count, count);
+        // The wall is scaled by count / timed: 199 entries at 4 µs.
+        let expected = Duration::from_micros(4 * count);
+        assert!(
+            entry.wall.abs_diff(expected) <= Duration::from_nanos(1),
+            "wall {:?}",
+            entry.wall
+        );
+        // `resolve` does not enter the chain it walks.
+        assert!(stats.get("sample").is_none());
     }
 
     #[test]
@@ -417,6 +403,5 @@ mod tests {
     fn maybe_enter_is_inert_without_a_profiler() {
         let none: Option<SharedProfiler> = None;
         assert!(SpanProfiler::maybe_enter(&none, "simulate").is_none());
-        assert!(SpanProfiler::maybe_enter_sampled(&none, "sample").is_none());
     }
 }

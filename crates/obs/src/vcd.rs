@@ -34,7 +34,7 @@ impl VcdValue {
     }
 
     /// Parses a dump-body value character.
-    pub fn from_glyph(c: char) -> Option<VcdValue> {
+    fn from_glyph(c: char) -> Option<VcdValue> {
         match c {
             '0' => Some(VcdValue::V0),
             '1' => Some(VcdValue::V1),
@@ -146,16 +146,6 @@ impl VcdDoc {
     pub fn change(&mut self, time: u64, wire: usize, value: VcdValue) {
         debug_assert!(wire < self.vars.len());
         self.changes.push((time, wire, value));
-    }
-
-    /// Number of declared wires.
-    pub fn wire_count(&self) -> usize {
-        self.vars.len()
-    }
-
-    /// Number of recorded value changes.
-    pub fn change_count(&self) -> usize {
-        self.changes.len()
     }
 
     /// All declared `(scope, name)` pairs in declaration order.
@@ -354,7 +344,7 @@ mod tests {
         doc.change(7, verdict, VcdValue::V0);
         let text = doc.render();
         let parsed = VcdDoc::parse(&text).expect("round trip");
-        assert_eq!(parsed.wire_count(), 2);
+        assert_eq!(parsed.wires().count(), 2);
         assert_eq!(
             parsed.changes_for("G intact", "verdict"),
             vec![(7, VcdValue::V0)]

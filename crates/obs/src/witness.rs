@@ -93,7 +93,7 @@ pub struct Witness {
 
 impl Witness {
     /// Total samples covered by the retained runs.
-    pub fn total_samples(&self) -> u64 {
+    fn total_samples(&self) -> u64 {
         self.steps.iter().map(|s| s.repeat).sum()
     }
 

@@ -14,6 +14,10 @@
 //! With `--log-every SECS` an operator table row goes to stderr every
 //! interval: jobs served and jobs/s over the interval, cache hit rate,
 //! live worker leases, and cache evictions.
+//!
+//! A malformed command line prints the problem and the usage line to
+//! stderr and exits with status 2; an address that cannot be bound exits
+//! with status 1.
 
 use std::fmt;
 use std::time::Duration;
@@ -77,6 +81,16 @@ fn log_loop(stats: impl Fn() -> Vec<(String, u64)>, every: Duration) {
     }
 }
 
+const USAGE: &str =
+    "sctc-serve [--addr HOST:PORT] [--cache-mb N] [--deadline-ms N] [--log-every SECS]";
+
+/// Reports a malformed command line: the problem and the usage line go to
+/// stderr, and the process exits with status 2.
+fn usage_error(problem: &str) -> ! {
+    eprintln!("{problem}\nusage: {USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
     let mut config = ServerConfig::default();
     let mut log_every: Option<u64> = None;
@@ -84,36 +98,35 @@ fn main() {
     while let Some(arg) = args.next() {
         let mut value = |name: &str| {
             args.next()
-                .unwrap_or_else(|| panic!("{name} requires a value"))
+                .unwrap_or_else(|| usage_error(&format!("{name} expects a value")))
+        };
+        let mut number = |name: &str| -> u64 {
+            value(name)
+                .parse()
+                .unwrap_or_else(|_| usage_error(&format!("{name} expects a non-negative integer")))
         };
         match arg.as_str() {
             "--addr" => config.addr = value("--addr"),
             "--cache-mb" => {
-                let mb: usize = value("--cache-mb").parse().expect("--cache-mb: integer");
-                config.cache_budget = mb * 1024 * 1024;
+                config.cache_budget = usize::try_from(number("--cache-mb"))
+                    .ok()
+                    .and_then(|mb| mb.checked_mul(1024 * 1024))
+                    .unwrap_or_else(|| usage_error("--cache-mb does not fit in memory"));
             }
-            "--deadline-ms" => {
-                config.default_deadline_ms =
-                    value("--deadline-ms").parse().expect("--deadline-ms: integer");
-            }
-            "--log-every" => {
-                log_every = Some(value("--log-every").parse().expect("--log-every: seconds"));
-            }
+            "--deadline-ms" => config.default_deadline_ms = number("--deadline-ms"),
+            "--log-every" => log_every = Some(number("--log-every")),
             "--help" | "-h" => {
-                println!(
-                    "usage: sctc-serve [--addr HOST:PORT] [--cache-mb N] [--deadline-ms N] \
-                     [--log-every SECS]"
-                );
+                println!("usage: {USAGE}");
                 return;
             }
-            other => {
-                eprintln!("unknown flag {other}; try --help");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown flag `{other}`")),
         }
     }
 
-    let mut server = spawn(config).expect("bind server");
+    let mut server = spawn(config).unwrap_or_else(|e| {
+        eprintln!("sctc-serve: cannot bind: {e}");
+        std::process::exit(1);
+    });
     println!("listening on {}", server.addr());
     if let Some(secs) = log_every.filter(|s| *s > 0) {
         // Detached daemon thread: it only reads shared counters and dies

@@ -209,7 +209,7 @@ impl<'a> WireReader<'a> {
     }
 
     /// Reads a length-prefixed byte blob.
-    pub fn blob(&mut self) -> Result<&'a [u8], WireError> {
+    fn blob(&mut self) -> Result<&'a [u8], WireError> {
         let len = self.u32()? as usize;
         if len > self.remaining() {
             return Err(WireError::Truncated);

@@ -214,7 +214,6 @@ impl Simulation {
             body: Some(body),
             state,
             sensitive,
-            resumes: 0,
         });
         pid
     }
@@ -222,16 +221,6 @@ impl Simulation {
     /// Returns the name a process was spawned with.
     pub fn process_name(&self, pid: ProcessId) -> &str {
         &self.procs[pid.index()].name
-    }
-
-    /// Returns how many times a process has been resumed.
-    pub fn process_resume_count(&self, pid: ProcessId) -> u64 {
-        self.procs[pid.index()].resumes
-    }
-
-    /// Returns `true` once a process has terminated.
-    pub fn process_terminated(&self, pid: ProcessId) -> bool {
-        self.procs[pid.index()].state == ProcState::Terminated
     }
 
     // ------------------------------------------------------------------
@@ -287,7 +276,6 @@ impl Simulation {
             .body
             .take()
             .expect("runnable process has no body");
-        self.procs[pid.index()].resumes += 1;
         self.stats.resumes += 1;
         let activation = {
             let mut ctx = ProcessContext { sim: self, pid };
@@ -504,14 +492,14 @@ mod tests {
         let mut sim = Simulation::new();
         let e = sim.create_event("tick");
         sim.notify(e, Notify::After(Duration::from_ticks(5)));
-        let pid = sim.spawn(
+        sim.spawn(
             "waiter",
             Box::new(move |_: &mut ProcessContext<'_>| Activation::WaitEvent(e)),
         );
         // First resume happens at t=0; the process then waits for the event.
         sim.run_to_completion().unwrap();
         assert_eq!(sim.now(), SimTime::from_ticks(5));
-        assert!(sim.process_resume_count(pid) >= 2);
+        assert!(sim.stats().resumes >= 2);
     }
 
     #[test]
@@ -538,7 +526,7 @@ mod tests {
             }),
         );
         sim.run_to_completion().unwrap();
-        assert!(sim.process_terminated(waiter));
+        assert_eq!(sim.procs[waiter.index()].state, ProcState::Terminated);
         // The waiter ran again one delta later, still at time zero.
         assert_eq!(sim.now(), SimTime::ZERO);
         assert_eq!(sim.stats().delta_cycles, 2);
@@ -548,7 +536,7 @@ mod tests {
     fn static_sensitivity_wakes_on_every_fire() {
         let mut sim = Simulation::new();
         let e = sim.create_event("tick");
-        let pid = sim.spawn_deferred(
+        sim.spawn_deferred(
             "listener",
             Box::new(move |_: &mut ProcessContext<'_>| Activation::WaitStatic),
             vec![e],
@@ -557,7 +545,7 @@ mod tests {
             sim.notify(e, Notify::After(Duration::from_ticks(i)));
         }
         sim.run_to_completion().unwrap();
-        assert_eq!(sim.process_resume_count(pid), 4); // one per tick, none at start
+        assert_eq!(sim.stats().resumes, 4); // one per tick, none at start
     }
 
     #[test]
@@ -568,7 +556,7 @@ mod tests {
             Box::new(move |_: &mut ProcessContext<'_>| Activation::WaitStatic),
         );
         assert_eq!(sim.run_to_completion().unwrap(), RunOutcome::Quiescent);
-        assert!(sim.process_terminated(pid));
+        assert_eq!(sim.procs[pid.index()].state, ProcState::Terminated);
     }
 
     #[test]

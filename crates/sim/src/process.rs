@@ -117,7 +117,6 @@ pub(crate) struct ProcSlot {
     /// Whether the process has static sensitivity, so a `WaitStatic` can
     /// ever complete.
     pub(crate) sensitive: bool,
-    pub(crate) resumes: u64,
 }
 
 impl fmt::Debug for ProcSlot {
@@ -125,7 +124,6 @@ impl fmt::Debug for ProcSlot {
         f.debug_struct("ProcSlot")
             .field("name", &self.name)
             .field("state", &self.state)
-            .field("resumes", &self.resumes)
             .finish()
     }
 }

@@ -97,7 +97,7 @@ impl SmcReport {
     /// Samples saved against the fixed-sample bound (zero when the
     /// sequential test was slower, which a planted rate far from `theta`
     /// never is).
-    pub fn samples_saved(&self) -> u64 {
+    fn samples_saved(&self) -> u64 {
         self.chernoff_bound.saturating_sub(self.samples)
     }
 

@@ -172,11 +172,6 @@ impl Sprt {
     pub fn failures(&self) -> u64 {
         self.failures
     }
-
-    /// The accumulated log-likelihood ratio (diagnostics only).
-    pub fn llr(&self) -> f64 {
-        self.llr
-    }
 }
 
 /// Okamoto/Chernoff fixed-sample bound: the smallest `N` with

@@ -71,13 +71,6 @@ impl Stimulus {
         }
     }
 
-    /// Creates the generator for one indexed sub-stream (shard or test
-    /// case) of a campaign: shorthand for `Stimulus::new(derive_seed(base,
-    /// index))`.
-    pub fn for_case(base: u64, index: u64) -> Self {
-        Stimulus::new(derive_seed(base, index))
-    }
-
     /// Returns the seed this generator was created with.
     pub fn seed(&self) -> u64 {
         self.seed

@@ -63,13 +63,11 @@ pub struct CompiledKernel {
     self_loop: Vec<u64>,
     words_per_state: usize,
     stats: SynthesisStats,
-    lowering_time: std::time::Duration,
 }
 
 impl CompiledKernel {
     /// Lowers a synthesized automaton into a compiled kernel.
     pub fn lower(automaton: &ArAutomaton) -> Self {
-        let t0 = std::time::Instant::now();
         let columns = automaton.columns();
         let states = automaton.state_count();
         let next = automaton.transitions_raw().to_vec();
@@ -159,7 +157,6 @@ impl CompiledKernel {
             self_loop,
             words_per_state,
             stats: automaton.stats(),
-            lowering_time: t0.elapsed(),
         }
     }
 
@@ -176,17 +173,6 @@ impl CompiledKernel {
     /// Synthesis statistics of the underlying automaton.
     pub fn stats(&self) -> SynthesisStats {
         self.stats
-    }
-
-    /// Wall-clock time the lowering itself took (excludes synthesis).
-    pub fn lowering_time(&self) -> std::time::Duration {
-        self.lowering_time
-    }
-
-    /// Number of `u64` words holding one state's self-loop flags (1 for
-    /// ≤ 6 atoms, the packed fallback beyond).
-    pub fn self_loop_words_per_state(&self) -> usize {
-        self.words_per_state
     }
 
     #[inline(always)]
@@ -487,7 +473,7 @@ mod tests {
         let text = "F[<=3] (p0 | p1 | p2 | p3 | p4 | p5 | p6)";
         let f = parse(text).unwrap();
         let compiled = CompiledMonitor::new(&f).unwrap();
-        assert_eq!(compiled.kernel().self_loop_words_per_state(), 2);
+        assert_eq!(compiled.kernel().words_per_state, 2);
         let mut table = TableMonitor::new(&f).unwrap();
         let mut wide = CompiledMonitor::new(&f).unwrap();
         // Idle run exercises high-column self-loop bits (valuation 127 is

@@ -235,7 +235,7 @@ impl IlStore {
     /// # Panics
     ///
     /// Panics if `idx` is out of range for the proposition table.
-    pub fn mk_prop(&mut self, idx: PropIdx) -> NodeId {
+    fn mk_prop(&mut self, idx: PropIdx) -> NodeId {
         assert!(
             (idx as usize) < self.props.len(),
             "proposition index out of range"
@@ -329,7 +329,7 @@ impl IlStore {
     }
 
     /// Interns a next-step operator.
-    pub fn mk_next(&mut self, f: NodeId) -> NodeId {
+    fn mk_next(&mut self, f: NodeId) -> NodeId {
         match self.node(f) {
             Node::True => IlStore::TRUE,
             Node::False => IlStore::FALSE,
@@ -408,7 +408,7 @@ impl IlStore {
     ///
     /// Panics if the formula mentions a proposition not present in the
     /// store's table (create the store from `formula.propositions()`).
-    pub fn import(&mut self, formula: &Formula) -> NodeId {
+    fn import(&mut self, formula: &Formula) -> NodeId {
         match formula {
             Formula::True => IlStore::TRUE,
             Formula::False => IlStore::FALSE,

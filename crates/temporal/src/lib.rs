@@ -10,7 +10,7 @@
 //!
 //! * [`parse`] accepts FLTL (`G`, `F[<=b]`, `X`, `U`, `R`) and PSL-flavoured
 //!   spellings (`always`, `eventually!`, `next`, `until!`, `never`).
-//! * [`IlStore`](il::IlStore) is the hash-consed Intermediate Language.
+//! * [`IlStore`] is the hash-consed Intermediate Language.
 //! * [`ArAutomaton`] is the explicit 3-valued automaton; [`Monitor`] the lazy
 //!   progression engine. Both deliver [`Verdict::True`], [`Verdict::False`]
 //!   or [`Verdict::Pending`] on finite traces.

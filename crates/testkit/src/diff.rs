@@ -44,11 +44,13 @@ impl<E: Debug, O: PartialEq + Debug> std::fmt::Display for Divergence<E, O> {
     }
 }
 
+/// How many script executions the shrinker may spend.
+const SHRINK_BUDGET: u32 = 2000;
+
 /// Runs scripts through a set of substrates and checks agreement.
 pub struct DiffHarness<E, O> {
     substrates: Vec<(String, SubstrateFn<E, O>)>,
     simplify: Option<SimplifyFn<E>>,
-    shrink_budget: u32,
 }
 
 impl<E, O> Default for DiffHarness<E, O>
@@ -71,7 +73,6 @@ where
         DiffHarness {
             substrates: Vec::new(),
             simplify: None,
-            shrink_budget: 2000,
         }
     }
 
@@ -86,12 +87,6 @@ where
     /// element, simplest first. Used during shrinking only.
     pub fn simplify_with(mut self, f: impl Fn(&E) -> Vec<E> + 'static) -> Self {
         self.simplify = Some(Box::new(f));
-        self
-    }
-
-    /// Caps how many script executions the shrinker may spend.
-    pub fn shrink_budget(mut self, runs: u32) -> Self {
-        self.shrink_budget = runs;
         self
     }
 
@@ -157,7 +152,7 @@ where
             while size >= 1 {
                 let mut start = 0;
                 while start < script.len() {
-                    if runs >= self.shrink_budget {
+                    if runs >= SHRINK_BUDGET {
                         break;
                     }
                     let end = (start + size).min(script.len());
@@ -181,7 +176,7 @@ where
             if let Some(simplify) = self.simplify.take() {
                 for i in 0..script.len() {
                     for replacement in simplify(&script[i]) {
-                        if runs >= self.shrink_budget {
+                        if runs >= SHRINK_BUDGET {
                             break;
                         }
                         let mut candidate = script.clone();
@@ -197,7 +192,7 @@ where
                 self.simplify = Some(simplify);
             }
 
-            if !improved || runs >= self.shrink_budget {
+            if !improved || runs >= SHRINK_BUDGET {
                 // One final run to capture the minimal outputs.
                 return match self.run(&script) {
                     Err(d) => d,

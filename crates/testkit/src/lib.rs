@@ -6,14 +6,14 @@
 //!
 //! * [`Rng`] — a seeded SplitMix64-seeded xoshiro256** PRNG (replaces
 //!   `rand` for stimulus generation and benches),
-//! * [`Source`] / [`Gen`] — tape-recorded draws with *integrated
+//! * [`Source`] — tape-recorded draws with *integrated
 //!   shrinking*: failures shrink by simplifying the recorded choice tape
 //!   and re-running the generator, so every shrunk counterexample is one
 //!   the generator could have produced (replaces `proptest`),
 //! * [`check`] / [`Checker`] — the property runner with failure-tape
 //!   persistence to `target/testkit-regressions/` and environment scaling
 //!   (`TESTKIT_CASES`, `TESTKIT_SEED`),
-//! * [`DiffHarness`](diff::DiffHarness) — differential oracles: one input
+//! * [`DiffHarness`] — differential oracles: one input
 //!   through N substrates, agreement demanded, scripts shrunk on
 //!   divergence,
 //! * [`Bernoulli`] — seeded outcome streams of *known* success
@@ -50,14 +50,12 @@
 #![warn(missing_docs)]
 
 pub mod diff;
-pub mod gen;
 mod rng;
 mod runner;
 mod source;
 pub mod stats;
 
 pub use diff::{DiffHarness, Divergence};
-pub use gen::Gen;
 pub use rng::{mix_seed, splitmix64, Rng};
 pub use runner::{assume, check, regression_dir, Checker, DEFAULT_CASES, DEFAULT_SEED};
 pub use source::{Source, Tape};

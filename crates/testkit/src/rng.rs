@@ -71,11 +71,6 @@ impl Rng {
         result
     }
 
-    /// Returns the next 32 random bits.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Draws a uniform value in `0..n` without modulo bias.
     ///
     /// # Panics
@@ -199,14 +194,6 @@ impl Rng {
         self.f64() < p
     }
 
-    /// Fills a byte slice with random data.
-    pub fn fill_bytes(&mut self, out: &mut [u8]) {
-        for chunk in out.chunks_mut(8) {
-            let v = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&v[..chunk.len()]);
-        }
-    }
-
     /// Splits off an independent child stream.
     ///
     /// The child is seeded from this stream's output, so forking advances
@@ -291,16 +278,6 @@ mod tests {
         let mut cb = b.fork();
         assert_eq!(ca.next_u64(), cb.next_u64());
         assert_eq!(a.next_u64(), b.next_u64());
-    }
-
-    #[test]
-    fn fill_bytes_is_deterministic() {
-        let mut a = [0u8; 37];
-        let mut b = [0u8; 37];
-        Rng::new(1234).fill_bytes(&mut a);
-        Rng::new(1234).fill_bytes(&mut b);
-        assert_eq!(a, b);
-        assert!(a.iter().any(|&x| x != 0));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! failure-tape persistence.
 //!
 //! ```no_run
-//! use testkit::{check, gen};
+//! use testkit::check;
 //!
 //! check("sum_is_commutative", |src| (src.i64_in(-99, 99), src.i64_in(-99, 99)),
 //!     |&(a, b)| assert_eq!(a + b, b + a));
@@ -30,6 +30,9 @@ pub const DEFAULT_SEED: u64 = 0x5EED_2008_0310;
 
 /// Default number of cases per property.
 pub const DEFAULT_CASES: u64 = 100;
+
+/// Budget of property re-runs the shrinker may spend.
+const SHRINK_RUNS: u32 = 4000;
 
 /// Marker payload for discarded cases (see [`assume`]).
 struct Discard;
@@ -142,8 +145,6 @@ pub struct Checker {
     name: String,
     cases: u64,
     seed: u64,
-    /// Budget of property re-runs the shrinker may spend.
-    shrink_runs: u32,
 }
 
 impl Checker {
@@ -153,7 +154,6 @@ impl Checker {
             name: name.to_owned(),
             cases: env_u64("TESTKIT_CASES").unwrap_or(DEFAULT_CASES),
             seed: env_u64("TESTKIT_SEED").unwrap_or(DEFAULT_SEED),
-            shrink_runs: 4000,
         }
     }
 
@@ -170,12 +170,6 @@ impl Checker {
         if env_u64("TESTKIT_SEED").is_none() {
             self.seed = seed;
         }
-        self
-    }
-
-    /// Sets the shrinker's property-run budget.
-    pub fn shrink_runs(mut self, n: u32) -> Self {
-        self.shrink_runs = n;
         self
     }
 
@@ -250,7 +244,7 @@ impl Checker {
         origin: &str,
         run_tape: impl Fn(&[u64]) -> Outcome,
     ) -> ! {
-        let minimal = shrink_tape(tape, self.shrink_runs, &run_tape);
+        let minimal = shrink_tape(tape, SHRINK_RUNS, &run_tape);
         let saved = persist_regression(&self.name, &minimal);
 
         // Reconstruct the minimal value for the report.

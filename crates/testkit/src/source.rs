@@ -182,12 +182,25 @@ mod tests {
     }
 
     #[test]
+    fn fresh_draws_stay_in_range() {
+        let mut src = Source::fresh(Rng::new(8));
+        for _ in 0..200 {
+            assert!((0..=9).contains(&src.i64_in(0, 9)));
+            assert!((1..=5).contains(&src.usize_in(1, 5)));
+        }
+    }
+
+    #[test]
     fn exhausted_tape_yields_simplest_values() {
         let mut src = Source::replay(&[]);
         assert_eq!(src.i64_in(-10, 10), -10);
         assert_eq!(src.u64_in(3, 9), 3);
         assert!(!src.bool());
         assert_eq!(src.pick(&['x', 'y', 'z']), 'x');
+        // The shrink target of recursive generators: the first (leaf) arm
+        // and the lower length bound.
+        assert_eq!(src.weighted_idx(&[1, 9]), 0);
+        assert_eq!(src.usize_in(2, 6), 2);
     }
 
     #[test]

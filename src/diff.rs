@@ -38,7 +38,7 @@ fn observe(op: Op, ret: i32, value: i32) -> EeeStep {
 }
 
 /// Runs a script on the hand-written native reference model.
-pub fn run_reference(script: &[Request]) -> EeeObs {
+fn run_reference(script: &[Request]) -> EeeObs {
     let mut model = RefEee::new();
     script
         .iter()
@@ -77,7 +77,7 @@ pub fn run_interpreter(script: &[Request]) -> EeeObs {
 
 /// Runs a script on the software compiled to the microprocessor model
 /// with the default 32-bit instruction encoding.
-pub fn run_compiled_cpu(script: &[Request]) -> EeeObs {
+fn run_compiled_cpu(script: &[Request]) -> EeeObs {
     run_compiled_cpu_isa(script, IsaKind::Word32)
 }
 

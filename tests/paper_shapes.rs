@@ -35,11 +35,12 @@ fn fig7_shape_blast_aborts_cbmc_unwinds() {
 
 #[test]
 fn fig8_shape_no_violations_and_coverage() {
-    // One representative derived-model run per bound; no property may be
-    // violated ("no false positives or false negatives") and the testbench
-    // must reach meaningful coverage.
+    // One representative derived-model run per Fig. 8 column (TB-1000,
+    // TB-10000, No-TB); no property may be violated ("no false positives
+    // or false negatives") and the testbench must reach meaningful
+    // coverage.
     for op in [Op::Read, Op::Refresh] {
-        for bound in [Some(1000u64), None] {
+        for bound in [Some(1000u64), Some(10_000), None] {
             let outcome = run_derived_single(
                 op,
                 ExperimentConfig {
