@@ -418,7 +418,12 @@ pub fn witness_demo() -> Vec<WitnessDemo> {
     };
     let flows: [(FlowKind, &str, u64, &str); 2] = [
         (FlowKind::Derived, "derived", 5_000, "eee_read_value"),
-        (FlowKind::Microprocessor, "micro", 200_000, "eee_read_value write"),
+        (
+            FlowKind::Microprocessor,
+            "micro",
+            200_000,
+            "eee_read_value write",
+        ),
     ];
     flows
         .into_iter()
@@ -542,8 +547,8 @@ pub fn telemetry_bench(scale: Scale) -> TelemetryBenchReport {
         "an enabled campaign run must record events"
     );
 
-    let overhead_percent = 100.0 * (on_wall.as_secs_f64() - off_wall.as_secs_f64())
-        / off_wall.as_secs_f64().max(1e-9);
+    let overhead_percent =
+        100.0 * (on_wall.as_secs_f64() - off_wall.as_secs_f64()) / off_wall.as_secs_f64().max(1e-9);
     TelemetryBenchReport {
         cases: on.total_cases,
         off_wall,

@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 use sctc_campaign::resolve_jobs;
 use sctc_server::job::run_job;
 use sctc_server::{
-    spawn, Client, JobDigest, JobOptions, JobOutcome, JobSpec, ServerConfig, Served,
+    spawn, Client, JobDigest, JobOptions, JobOutcome, JobSpec, Served, ServerConfig,
 };
 
 use crate::Scale;

@@ -338,7 +338,10 @@ const fn opcode_of(kind: OpKind) -> u8 {
 }
 
 fn pack(opcode: u8, rd: Reg, rs1: Reg, imm: u16) -> u32 {
-    ((opcode as u32) << 24) | ((rd.index() as u32) << 20) | ((rs1.index() as u32) << 16) | imm as u32
+    ((opcode as u32) << 24)
+        | ((rd.index() as u32) << 20)
+        | ((rs1.index() as u32) << 16)
+        | imm as u32
 }
 
 impl Instr {
@@ -349,9 +352,7 @@ impl Instr {
         match self {
             Instr::Nop => (OpKind::Nop, Reg::ZERO, Reg::ZERO, 0),
             Instr::Halt => (OpKind::Halt, Reg::ZERO, Reg::ZERO, 0),
-            Instr::Alu(op, rd, rs1, rs2) => {
-                (OpKind::Alu(op), rd, rs1, (rs2.index() as u16) << 12)
-            }
+            Instr::Alu(op, rd, rs1, rs2) => (OpKind::Alu(op), rd, rs1, (rs2.index() as u16) << 12),
             Instr::Addi(rd, rs1, imm) => (OpKind::Addi, rd, rs1, imm as u16),
             Instr::Andi(rd, rs1, imm) => (OpKind::Andi, rd, rs1, imm),
             Instr::Ori(rd, rs1, imm) => (OpKind::Ori, rd, rs1, imm),

@@ -55,7 +55,10 @@ impl SymbolMap {
     /// Panics on a duplicate name, a misaligned address, a zero length or
     /// an overlap with an existing symbol — all layout bugs.
     pub fn insert(&mut self, name: &str, addr: u32, words: u32) {
-        assert!(addr.is_multiple_of(4), "symbol `{name}` is not word aligned");
+        assert!(
+            addr.is_multiple_of(4),
+            "symbol `{name}` is not word aligned"
+        );
         assert!(words > 0, "symbol `{name}` has zero length");
         assert!(
             !self.by_name.contains_key(name),

@@ -210,7 +210,10 @@ pub fn run_fault_campaign(spec: &FaultCampaignSpec) -> FaultCampaignReport {
         let local = fault_plan.for_shard(shard.start_case, shard.cases);
         let matrix = run_fault_shard(spec, shard, &local);
         let done = shards_done.fetch_add(1, Ordering::Relaxed) + 1;
-        trace::emit("shard.done", &[("shard", shard.index), ("cases", shard.cases)]);
+        trace::emit(
+            "shard.done",
+            &[("shard", shard.index), ("cases", shard.cases)],
+        );
         trace::progress(done, total_shards);
         matrix
     });

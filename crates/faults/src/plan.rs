@@ -107,7 +107,11 @@ impl FaultPlan {
     /// Generates the schedule for `cases` test cases: each case draws a
     /// fault with probability `percent`%. Pure in `(seed, cases, percent)`.
     pub fn generate(seed: u64, cases: u64, percent: u32) -> Self {
-        Self::from_stimulus(Stimulus::new(derive_seed(seed, FAULT_PLAN_SALT)), cases, percent)
+        Self::from_stimulus(
+            Stimulus::new(derive_seed(seed, FAULT_PLAN_SALT)),
+            cases,
+            percent,
+        )
     }
 
     /// Generates an independently **randomized** plan for one indexed

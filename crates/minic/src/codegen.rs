@@ -949,11 +949,13 @@ mod tests {
         assert_eq!(syms.symbol("__fname").unwrap().addr, compiled.fname_addr);
         assert_eq!(syms.symbol("tab").unwrap().words, 4);
         assert_eq!(
-            syms.label_for_range(compiled.global_addr("sum"), 4).as_deref(),
+            syms.label_for_range(compiled.global_addr("sum"), 4)
+                .as_deref(),
             Some("sum")
         );
         assert_eq!(
-            syms.label_for_range(compiled.global_addr("tab") + 8, 4).as_deref(),
+            syms.label_for_range(compiled.global_addr("tab") + 8, 4)
+                .as_deref(),
             Some("tab[2]")
         );
     }

@@ -40,8 +40,8 @@ pub mod vcd;
 pub mod witness;
 
 pub use metrics::{Histogram, MetricValue, Metrics};
-pub use trace::{ProgressSnap, TraceContext, TraceEvent};
 pub use span::{SharedProfiler, SpanEntry, SpanGuard, SpanProfiler, SpanStats, SAMPLE_RATE};
+pub use trace::{ProgressSnap, TraceContext, TraceEvent};
 pub use vcd::{VcdDoc, VcdParseError, VcdValue};
 pub use witness::{
     ProvenanceEntry, ReplayOutcome, Witness, WitnessConfig, WitnessRecorder, WitnessStep,

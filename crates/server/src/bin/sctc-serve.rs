@@ -47,10 +47,7 @@ impl fmt::Display for LogRow {
 }
 
 fn counter(pairs: &[(String, u64)], name: &str) -> u64 {
-    pairs
-        .iter()
-        .find(|(n, _)| n == name)
-        .map_or(0, |(_, v)| *v)
+    pairs.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v)
 }
 
 fn log_loop(stats: impl Fn() -> Vec<(String, u64)>, every: Duration) {

@@ -35,9 +35,7 @@ use sctc_cpu::IsaKind;
 use sctc_smc::{SmcMethod, SmcQuery, SmcVerdict, SmcWorkload};
 use sctc_temporal::Verdict;
 
-use crate::job::{
-    CampaignJob, FaultsJob, JobDigest, JobOptions, JobSpec, ScenarioJob, SmcJob,
-};
+use crate::job::{CampaignJob, FaultsJob, JobDigest, JobOptions, JobSpec, ScenarioJob, SmcJob};
 use crate::wire::{WireError, WireReader, WireWriter};
 
 /// Protocol magic: `"SCTC"` as a big-endian u32 spelling.
@@ -1055,12 +1053,7 @@ mod tests {
                 samples: 1000,
                 sim_ticks: 999,
                 resumes: 7,
-                properties: vec![(
-                    "p".into(),
-                    Verdict::True,
-                    vec![1, 2],
-                    3,
-                )],
+                properties: vec![("p".into(), Verdict::True, vec![1, 2], 3)],
                 coverage_bits: vec![0x3FF0_0000_0000_0000],
                 overall_bits: 0x3FF0_0000_0000_0000,
                 violations: vec!["v".into()],
@@ -1174,7 +1167,10 @@ mod tests {
         if let JobSpec::Campaign(j) = &mut rechunked {
             j.chunk = 5;
         }
-        assert_ne!(rechunked.content_key(), JobSpec::small_campaign(40, 7).content_key());
+        assert_ne!(
+            rechunked.content_key(),
+            JobSpec::small_campaign(40, 7).content_key()
+        );
 
         // The ISA is content, not a scheduling knob: a compressed-encoding
         // run is a different execution even though its verdicts match.
@@ -1182,7 +1178,10 @@ mod tests {
         if let JobSpec::Campaign(j) = &mut compressed {
             j.isa = sctc_cpu::IsaKind::Comp16;
         }
-        assert_ne!(compressed.content_key(), JobSpec::small_campaign(40, 7).content_key());
+        assert_ne!(
+            compressed.content_key(),
+            JobSpec::small_campaign(40, 7).content_key()
+        );
     }
 
     #[test]

@@ -593,21 +593,20 @@ fn handle_job(
             let worker_ctx = trace::current();
             std::thread::spawn(move || {
                 let _trace = trace::adopt(worker_ctx);
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    run_job(&worker_spec, &worker_options)
-                }))
-                .inspect(|output| {
-                    worker_state.observe_wall(worker_spec.kind(), output.wall);
-                })
-                .map_err(|panic| {
-                    let detail = panic
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_owned())
-                        .or_else(|| panic.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "job panicked".to_owned());
-                    salvage_panicked_flight(&worker_state, trace_id, job_id, &detail);
-                    format!("job panicked: {detail}")
-                });
+                let result =
+                    catch_unwind(AssertUnwindSafe(|| run_job(&worker_spec, &worker_options)))
+                        .inspect(|output| {
+                            worker_state.observe_wall(worker_spec.kind(), output.wall);
+                        })
+                        .map_err(|panic| {
+                            let detail = panic
+                                .downcast_ref::<&str>()
+                                .map(|s| (*s).to_owned())
+                                .or_else(|| panic.downcast_ref::<String>().cloned())
+                                .unwrap_or_else(|| "job panicked".to_owned());
+                            salvage_panicked_flight(&worker_state, trace_id, job_id, &detail);
+                            format!("job panicked: {detail}")
+                        });
                 worker_state.clear_lead(&worker_key);
                 worker_state.cache.complete(&worker_key, result);
                 trace::clear_progress(trace_id);
@@ -704,7 +703,10 @@ fn handle_job(
         WaitOutcome::TimedOut => {
             state.count("server.timeouts");
             let deadline_ms = effective_deadline(options, default_deadline_ms).unwrap_or(0);
-            trace::emit("job.timeout", &[("job", job_id), ("deadline_ms", deadline_ms)]);
+            trace::emit(
+                "job.timeout",
+                &[("job", job_id), ("deadline_ms", deadline_ms)],
+            );
             eprintln!(
                 "sctc-serve: job {job_id} ({kind}) exceeded its {deadline_ms}ms deadline, \
                  last stage {}; flight recorder:\n{}",

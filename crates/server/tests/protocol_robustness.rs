@@ -75,9 +75,7 @@ fn truncated_frame_yields_typed_error_not_hang() {
 fn oversized_length_prefix_is_refused_before_any_payload() {
     let mut server = spawn(ServerConfig::default()).unwrap();
     let mut stream = raw_connect(server.addr());
-    stream
-        .write_all(&(MAX_FRAME + 1).to_le_bytes())
-        .unwrap();
+    stream.write_all(&(MAX_FRAME + 1).to_le_bytes()).unwrap();
     let replies = drain_replies(&mut stream);
     assert!(
         replies
@@ -94,7 +92,9 @@ fn garbage_bytes_are_refused_cleanly() {
     // Garbage as the very first frame (a plausible-length prefix followed
     // by junk decodes to a bad tag / bad payload, never a panic).
     let mut stream = raw_connect(server.addr());
-    let garbage = [9u8, 0, 0, 0, 0x7F, 0xFF, 0x00, 0xAB, 0xCD, 0x12, 0x34, 0x56, 0x78];
+    let garbage = [
+        9u8, 0, 0, 0, 0x7F, 0xFF, 0x00, 0xAB, 0xCD, 0x12, 0x34, 0x56, 0x78,
+    ];
     stream.write_all(&garbage).unwrap();
     stream.shutdown(std::net::Shutdown::Write).unwrap();
     let replies = drain_replies(&mut stream);

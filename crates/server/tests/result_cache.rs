@@ -14,10 +14,7 @@ use sctc_smc::{run_smc_campaign, SmcSpec};
 use sctc_temporal::CacheWeight;
 
 fn stat(pairs: &[(String, u64)], name: &str) -> u64 {
-    pairs
-        .iter()
-        .find(|(n, _)| n == name)
-        .map_or(0, |(_, v)| *v)
+    pairs.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v)
 }
 
 #[test]

@@ -9,7 +9,7 @@ use sctc_obs::trace;
 use sctc_server::job::run_job;
 use sctc_server::protocol::ERR_SHUTTING_DOWN;
 use sctc_server::{
-    spawn, Client, JobOptions, JobOutcome, JobSpec, ServerConfig, Served, TelemetryValue,
+    spawn, Client, JobOptions, JobOutcome, JobSpec, Served, ServerConfig, TelemetryValue,
 };
 
 fn local_server() -> sctc_server::ServerHandle {
@@ -25,10 +25,7 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
 }
 
 fn stat(pairs: &[(String, u64)], name: &str) -> u64 {
-    pairs
-        .iter()
-        .find(|(n, _)| n == name)
-        .map_or(0, |(_, v)| *v)
+    pairs.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v)
 }
 
 #[test]
@@ -40,7 +37,13 @@ fn campaign_jobs_round_trip_fingerprint_identical_cold_and_warm() {
 
     for pass in 0..2 {
         let outcome = client.submit(&spec, &JobOptions::default()).unwrap();
-        let JobOutcome::Done { served, digest, table, .. } = outcome else {
+        let JobOutcome::Done {
+            served,
+            digest,
+            table,
+            ..
+        } = outcome
+        else {
             panic!("campaign job must finish: {outcome:?}");
         };
         assert_eq!(digest, expected.digest, "pass {pass}");
@@ -101,12 +104,21 @@ fn scenario_jobs_stream_witnesses_and_vcd() {
     let expected = run_job(&spec, &JobOptions::default());
 
     let outcome = client.submit(&spec, &JobOptions::default()).unwrap();
-    let JobOutcome::Done { digest, witnesses, vcd, .. } = outcome else {
+    let JobOutcome::Done {
+        digest,
+        witnesses,
+        vcd,
+        ..
+    } = outcome
+    else {
         panic!("scenario job must finish: {outcome:?}");
     };
     assert_eq!(digest, expected.digest);
     assert_eq!(witnesses, expected.witnesses);
-    assert!(!witnesses.is_empty(), "torn-write scenario captures witnesses");
+    assert!(
+        !witnesses.is_empty(),
+        "torn-write scenario captures witnesses"
+    );
     let vcd = vcd.expect("vcd requested");
     assert_eq!(Some(&vcd), expected.vcd.as_ref());
     // The streamed VCD is a valid document.
@@ -159,10 +171,7 @@ fn shutdown_drains_in_flight_jobs_and_refuses_new_ones() {
     let submitter = std::thread::spawn(move || {
         let mut client = Client::connect(addr).unwrap();
         client
-            .submit(
-                &JobSpec::small_campaign(3_000, 777),
-                &JobOptions::default(),
-            )
+            .submit(&JobSpec::small_campaign(3_000, 777), &JobOptions::default())
             .unwrap()
     });
 
@@ -190,7 +199,9 @@ fn shutdown_drains_in_flight_jobs_and_refuses_new_ones() {
     // clean shutdown behaviours.)
     let mut late = Client::connect(addr);
     if let Ok(client) = late.as_mut() {
-        client.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
         match client.submit(&JobSpec::small_campaign(5, 1), &JobOptions::default()) {
             Ok(JobOutcome::Rejected { code, .. }) => assert_eq!(code, ERR_SHUTTING_DOWN),
             Ok(other) => panic!("draining server must refuse new jobs: {other:?}"),
@@ -208,7 +219,10 @@ fn served_smc_jobs_stream_progress_frames_with_the_job_trace_id() {
     let mut client = Client::connect(server.addr()).unwrap();
     let spec = JobSpec::planted_smc(200, 42);
     let outcome = client.submit(&spec, &JobOptions::default()).unwrap();
-    let JobOutcome::Done { trace_id, progress, .. } = outcome else {
+    let JobOutcome::Done {
+        trace_id, progress, ..
+    } = outcome
+    else {
         panic!("smc job must finish: {outcome:?}");
     };
     assert_ne!(trace_id, 0, "a served job is assigned a non-zero trace id");

@@ -365,7 +365,13 @@ fn run_faults_member(
     cases_per_sample: u64,
     key: u64,
 ) -> ShardMatrix {
-    let plan = FaultPlan::randomized(spec.seed, SMC_PLAN_SALT, key, cases_per_sample, fault_percent);
+    let plan = FaultPlan::randomized(
+        spec.seed,
+        SMC_PLAN_SALT,
+        key,
+        cases_per_sample,
+        fault_percent,
+    );
     let unit = FaultUnitSpec {
         flow: spec.flow,
         program,
@@ -562,8 +568,7 @@ mod tests {
         let mut planted = 0u32;
         let n = 4_000;
         for index in 0..n {
-            let mut coin =
-                Stimulus::new(derive_seed_salted(spec.seed, SMC_PLANT_SALT, index));
+            let mut coin = Stimulus::new(derive_seed_salted(spec.seed, SMC_PLANT_SALT, index));
             if coin.int_in(0, 999) < fail_per_mille as i32 {
                 planted += 1;
             }

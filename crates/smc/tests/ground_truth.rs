@@ -8,9 +8,7 @@
 //!   pool exhaustively through the detection-matrix path.
 
 use sctc_campaign::FlowKind;
-use sctc_smc::{
-    pool_exhaustive, run_smc_campaign, SmcMethod, SmcQuery, SmcSpec, SmcVerdict,
-};
+use sctc_smc::{pool_exhaustive, run_smc_campaign, SmcMethod, SmcQuery, SmcSpec, SmcVerdict};
 
 /// The pooled spec shared by the exhaustive and sampled runs: the
 /// torn-write mutant under fully-faulted 12-case sessions, 16 plans in
@@ -27,7 +25,11 @@ fn pooled_spec() -> SmcSpec {
 #[test]
 fn exhaustive_pool_rate_is_deterministic_and_mixed() {
     let truth = pool_exhaustive(&pooled_spec());
-    assert_eq!(truth, pool_exhaustive(&pooled_spec()), "oracle must be pure");
+    assert_eq!(
+        truth,
+        pool_exhaustive(&pooled_spec()),
+        "oracle must be pure"
+    );
     assert_eq!(truth.len(), 16);
     let successes = truth.iter().filter(|&&b| b).count();
     assert!(
@@ -73,7 +75,11 @@ fn sprt_verdict_agrees_with_the_exhaustive_rate() {
             .with_max_samples(400)
             .with_jobs(2),
     );
-    assert_eq!(holds.verdict, SmcVerdict::Holds, "theta {below} vs exact {exact}");
+    assert_eq!(
+        holds.verdict,
+        SmcVerdict::Holds,
+        "theta {below} vs exact {exact}"
+    );
 
     // Query clearly above it: the property must fail.
     let above = (exact + 0.2).clamp(0.1, 0.9);
@@ -83,7 +89,11 @@ fn sprt_verdict_agrees_with_the_exhaustive_rate() {
             .with_max_samples(400)
             .with_jobs(2),
     );
-    assert_eq!(fails.verdict, SmcVerdict::Fails, "theta {above} vs exact {exact}");
+    assert_eq!(
+        fails.verdict,
+        SmcVerdict::Fails,
+        "theta {above} vs exact {exact}"
+    );
 }
 
 #[test]

@@ -6,9 +6,7 @@
 //! makes every assertion deterministic: the seed sweep is a fixed family
 //! of streams, not a flaky re-roll.
 
-use sctc_smc::{
-    chernoff_sample_bound, hoeffding_interval, SmcDecision, SmcQuery, Sprt,
-};
+use sctc_smc::{chernoff_sample_bound, hoeffding_interval, SmcDecision, SmcQuery, Sprt};
 use testkit::Bernoulli;
 
 /// Runs one SPRT over a seeded stream until it decides or `cap` outcomes
@@ -80,7 +78,10 @@ fn sprt_decides_clear_rates_far_below_the_chernoff_budget() {
         }
         spent_total += spent;
     }
-    assert!(wrong <= 8, "{wrong}/{trials} answers beyond the beta budget");
+    assert!(
+        wrong <= 8,
+        "{wrong}/{trials} answers beyond the beta budget"
+    );
     let mean = spent_total / trials;
     assert!(
         mean * 10 < bound,
@@ -119,13 +120,19 @@ fn fixed_sample_estimate_lands_within_epsilon_across_a_seed_sweep() {
     assert_eq!(n, 738);
     let mut misses = 0;
     for seed in 0..100u64 {
-        let successes = Bernoulli::new(seed, 0.6).take(n as usize).filter(|&b| b).count() as u64;
+        let successes = Bernoulli::new(seed, 0.6)
+            .take(n as usize)
+            .filter(|&b| b)
+            .count() as u64;
         let p_hat = successes as f64 / n as f64;
         if (p_hat - 0.6).abs() >= 0.05 {
             misses += 1;
         }
         let (lo, hi) = hoeffding_interval(successes, n, 0.05);
-        assert!(lo <= 0.6 + 1e-9 && 0.6 - 1e-9 <= hi, "seed {seed}: CI [{lo}, {hi}]");
+        assert!(
+            lo <= 0.6 + 1e-9 && 0.6 - 1e-9 <= hi,
+            "seed {seed}: CI [{lo}, {hi}]"
+        );
     }
     assert!(misses <= 5, "{misses}/100 estimates missed by >= epsilon");
 }
@@ -143,5 +150,8 @@ fn indifference_region_rates_may_run_long_but_never_lie_loudly() {
             decided += 1;
         }
     }
-    assert!(decided >= 40, "SPRT terminates w.p. 1; {decided}/50 decided");
+    assert!(
+        decided >= 40,
+        "SPRT terminates w.p. 1; {decided}/50 decided"
+    );
 }

@@ -495,11 +495,7 @@ impl<V: CacheWeight> ResultCache<V> {
     /// followers call it directly.
     pub fn wait(&self, handle: &FlightHandle<V>, timeout: Option<Duration>) -> WaitOutcome<V> {
         let deadline = timeout.map(|t| Instant::now() + t);
-        let mut done = handle
-            .flight
-            .done
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+        let mut done = handle.flight.done.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if let Some(result) = done.as_ref() {
                 return match result {

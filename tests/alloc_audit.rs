@@ -160,5 +160,8 @@ fn the_counter_actually_counts() {
         let v: Vec<u64> = Vec::with_capacity(32);
         std::hint::black_box(v);
     });
-    assert!(n >= 1, "instrument failure: Vec::with_capacity not observed");
+    assert!(
+        n >= 1,
+        "instrument failure: Vec::with_capacity not observed"
+    );
 }

@@ -138,9 +138,8 @@ fn captured_witnesses_replay_to_the_same_decision() {
                         );
                         continue;
                     }
-                    let [witness]: [Witness; 1] = witnesses
-                        .try_into()
-                        .unwrap_or_else(|w: Vec<_>| {
+                    let [witness]: [Witness; 1] =
+                        witnesses.try_into().unwrap_or_else(|w: Vec<_>| {
                             panic!("{engine:?}: expected one witness for {f}, got {}", w.len())
                         });
                     assert!(
@@ -148,7 +147,10 @@ fn captured_witnesses_replay_to_the_same_decision() {
                         "{engine:?}: a 256-run window must retain a {TRACE_LEN}-sample trace"
                     );
                     assert_eq!(witness.verdict, results[0].verdict, "{engine:?} for {f}");
-                    assert_eq!(witness.decided_at, results[0].decided_at, "{engine:?} for {f}");
+                    assert_eq!(
+                        witness.decided_at, results[0].decided_at,
+                        "{engine:?} for {f}"
+                    );
                     let mut fresh = TableMonitor::new(f).expect("synthesizable");
                     let replay = witness.replay_with(&mut fresh);
                     assert_eq!(
@@ -166,7 +168,9 @@ fn captured_witnesses_replay_to_the_same_decision() {
 
 /// The per-property VCD channels (verdict + atoms) as a comparable map of
 /// value sequences, timestamps stripped.
-fn channel_values(report: &esw_verify::sctc::RunReport) -> BTreeMap<(String, String), Vec<VcdValue>> {
+fn channel_values(
+    report: &esw_verify::sctc::RunReport,
+) -> BTreeMap<(String, String), Vec<VcdValue>> {
     let doc = report.vcd.as_ref().expect("vcd enabled");
     let mut map = BTreeMap::new();
     for (scope, name) in doc.wires() {
@@ -178,7 +182,10 @@ fn channel_values(report: &esw_verify::sctc::RunReport) -> BTreeMap<(String, Str
     map
 }
 
-fn torn_write_observed(flow: FlowKind, recovery_bound: u64) -> (Witness, esw_verify::sctc::RunReport) {
+fn torn_write_observed(
+    flow: FlowKind,
+    recovery_bound: u64,
+) -> (Witness, esw_verify::sctc::RunReport) {
     let (_, report) = run_scenario_observed(
         flow,
         EswProgram::TornWrite,

@@ -171,7 +171,12 @@ fn invalid_opcodes_decode_to_typed_errors_never_panic() {
                     Ok(_) => assert!(described, "undescribed c16 opcode {opcode:#04x} decoded"),
                     Err(e) => {
                         assert!(!described, "described c16 opcode {opcode:#04x} rejected");
-                        assert_eq!(e, DecodeError { word: u32::from(lo) });
+                        assert_eq!(
+                            e,
+                            DecodeError {
+                                word: u32::from(lo)
+                            }
+                        );
                     }
                 }
             }

@@ -442,7 +442,9 @@ fn wide_formula_exercises_the_packed_compiled_fallback() {
     // high valuation bits 64..128) with clean stutter stretches.
     let mut lcg = 0x2008_0310_u64;
     for step in 0..400u32 {
-        lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        lcg = lcg
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         if step % 3 == 0 {
             let v = (lcg >> 33) & 0x7f;
             for model in &models {
