@@ -590,8 +590,6 @@ pub fn render_chrome_trace(events: &[sctc_core::TraceEvent]) -> String {
         w.number(event.trace_id as f64);
         w.key("span");
         w.number(event.span_id as f64);
-        w.key("parent");
-        w.number(event.parent as f64);
         for (key, value) in &event.fields {
             w.key(key);
             w.number(*value as f64);
@@ -626,7 +624,6 @@ mod telemetry_tests {
             sctc_core::TraceEvent {
                 trace_id: 7,
                 span_id: 1,
-                parent: 0,
                 stage: "job.admit",
                 t_us: 10,
                 tid: 1,
@@ -635,7 +632,6 @@ mod telemetry_tests {
             sctc_core::TraceEvent {
                 trace_id: 7,
                 span_id: 2,
-                parent: 1,
                 stage: "shard.dispatch",
                 t_us: 25,
                 tid: 2,
@@ -656,7 +652,7 @@ mod telemetry_tests {
             "\"s\": \"t\"",
             "\"args\": {",
             "\"trace\": 7",
-            "\"parent\": 1",
+            "\"span\": 2",
             "\"shard\": 0",
             "\"displayTimeUnit\": \"ms\"",
         ] {

@@ -160,9 +160,7 @@ pub fn serve_bench(scale: Scale) -> ServerBenchReport {
     }
     let wall = started.elapsed();
 
-    let mut control = Client::connect(addr).expect("connect control client");
-    let stats = control.stats().expect("stats snapshot");
-    drop(control);
+    let stats = server.stats();
     server.shutdown();
 
     let jobs_done = samples.len() as u64;

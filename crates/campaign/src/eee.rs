@@ -165,14 +165,14 @@ pub fn run_campaign(spec: &CampaignSpec) -> CampaignReport {
     let plan = shard_plan(spec.cases, chunk, spec.seed);
     let cache_before = SynthesisCache::global().stats();
     // Telemetry: shard closures run on worker threads; hand them the
-    // submitting thread's trace context so their events correlate with
+    // submitting thread's trace id so their events correlate with
     // the enclosing (server) job. Progress is shards merged vs planned.
-    let trace_ctx = trace::current();
+    let trace_id = trace::current();
     let shards_done = AtomicU64::new(0);
     let total_shards = plan.len() as u64;
     let t0 = Instant::now();
     let outcomes = run_shards(&plan, jobs, |shard| {
-        let _trace = trace::adopt(trace_ctx);
+        let _trace = trace::adopt(trace_id);
         trace::emit(
             "shard.dispatch",
             &[("shard", shard.index), ("cases", shard.cases)],

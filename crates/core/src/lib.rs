@@ -61,8 +61,8 @@ pub use flow::{
 pub use proposition::{esw, mem, sym, ClosureProp, Proposition, Watch};
 // Diagnosis-layer types threaded through the flows (see `sctc_obs`).
 pub use sctc_obs::{
-    Histogram, MetricValue, Metrics, ProvenanceEntry, SharedProfiler, SpanProfiler, SpanStats,
-    TraceContext, TraceEvent, VcdDoc, VcdValue, Witness, WitnessConfig,
+    ProvenanceEntry, SharedProfiler, SpanProfiler, SpanStats, TraceEvent, VcdDoc, VcdValue,
+    Witness, WitnessConfig,
 };
 // The live telemetry plane: `sctc_core::trace::emit(...)` works anywhere
 // this crate is in scope, keeping the campaign layers free of a direct

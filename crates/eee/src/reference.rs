@@ -46,11 +46,6 @@ impl RefEee {
         RefEee::default()
     }
 
-    /// Returns the value the emulation would report for `id`, if any.
-    pub fn value(&self, id: i32) -> Option<i32> {
-        self.store.get(&id).copied()
-    }
-
     /// Returns `true` once startup2 completed.
     pub fn is_ready(&self) -> bool {
         self.ready

@@ -197,12 +197,12 @@ pub fn run_fault_campaign(spec: &FaultCampaignSpec) -> FaultCampaignReport {
     };
     let plan = shard_plan(spec.cases, chunk, spec.seed);
     let fault_plan = FaultPlan::generate(spec.seed, spec.cases, spec.fault_percent);
-    let trace_ctx = trace::current();
+    let trace_id = trace::current();
     let shards_done = AtomicU64::new(0);
     let total_shards = plan.len() as u64;
     let t0 = Instant::now();
     let outcomes = run_shards(&plan, jobs, |shard| {
-        let _trace = trace::adopt(trace_ctx);
+        let _trace = trace::adopt(trace_id);
         trace::emit(
             "shard.dispatch",
             &[("shard", shard.index), ("cases", shard.cases)],

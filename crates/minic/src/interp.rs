@@ -292,11 +292,6 @@ impl Interp {
         Interp::new(prog, Box::new(VirtualMemory::new()))
     }
 
-    /// Returns the program.
-    pub fn program(&self) -> &Rc<IrProgram> {
-        &self.prog
-    }
-
     /// Returns the current execution state.
     pub fn state(&self) -> &ExecState {
         &self.state

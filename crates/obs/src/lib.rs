@@ -4,7 +4,7 @@
 //! The paper's value proposition is *debuggability of temporal
 //! failures* — SCTC tells the engineer where on the simulated trace an
 //! FLTL property failed so the surrounding EEPROM-emulation state can
-//! be inspected.  This crate supplies the five pillars that turn the
+//! be inspected.  This crate supplies the parts that turn the
 //! reproduction's verdict oracle into a debuggable tool:
 //!
 //! * [`witness`] — bounded counterexample [`Witness`] extraction: the
@@ -18,12 +18,12 @@
 //!   sample / automaton-step / synthesis / shard-merge) aggregated into
 //!   mergeable [`SpanStats`] that ride `RunReport` → `CampaignReport` →
 //!   `DetectionMatrix` outside every fingerprint.
-//! * [`metrics`] — a typed counter/gauge/histogram [`Metrics`] registry
-//!   unifying the workspace's scattered counters behind one
-//!   snapshot/merge API, with bucketed quantiles (p50/p90/p99).
+//! * [`metrics`] — the verification service's [`Metrics`] registry of
+//!   counters and histograms with bucketed quantiles (p50/p90/p99),
+//!   snapshotted into the server's `Telemetry` reply.
 //! * [`trace`] — the live telemetry plane: structured [`TraceEvent`]s
-//!   with per-job `trace_id` correlation, an always-on per-thread-ring
-//!   flight recorder, and a monotone progress bus feeding the server's
+//!   with per-job `trace_id` correlation, an always-on bounded flight
+//!   recorder, and a monotone progress bus feeding the server's
 //!   streamed `Progress` frames.
 //!
 //! Everything here is plain data plus `std`; the only dependency is
@@ -41,7 +41,7 @@ pub mod witness;
 
 pub use metrics::{Histogram, MetricValue, Metrics};
 pub use span::{SharedProfiler, SpanEntry, SpanGuard, SpanProfiler, SpanStats, SAMPLE_RATE};
-pub use trace::{ProgressSnap, TraceContext, TraceEvent};
+pub use trace::{ProgressSnap, TraceEvent};
 pub use vcd::{VcdDoc, VcdParseError, VcdValue};
 pub use witness::{
     ProvenanceEntry, ReplayOutcome, Witness, WitnessConfig, WitnessRecorder, WitnessStep,

@@ -4,35 +4,25 @@
 //! [`TraceEvent`]s emitted at job admission, cache lead/follow/hit, shard
 //! dispatch, SPRT fold advances, engine synthesis, and witness capture.
 //! Every event carries a `trace_id` minted per server job ([`mint_trace_id`])
-//! and propagated through worker leases and shard closures via a
-//! thread-local [`TraceContext`] ([`adopt`]), so one job's events can be
+//! and propagated through worker leases and shard closures as a
+//! thread-local id ([`current`], [`adopt`]), so one job's events can be
 //! filtered out of a process shared by many concurrent jobs.
 //!
 //! # Flight recorder
 //!
-//! Emission goes into a **per-thread ring** of fixed capacity
-//! ([`RING_CAPACITY`]): each thread owns an `Arc<Mutex<..>>` ring that only
-//! it ever pushes to, so the emit path locks an uncontended mutex — a
-//! handful of nanoseconds — and never blocks on other threads. The rings
-//! are registered (weakly) in a process-wide table; [`drain`] and
-//! [`snapshot`] walk the table and merge the rings into one ordered log.
+//! Emission goes into one process-wide ring of [`RING_CAPACITY`] events
+//! behind one mutex; a full ring drops its **oldest** event first. One
+//! lock is enough because emit sites fire per job stage, shard, SMC
+//! sample or property registration — never per statement or clock
+//! cycle. Events of exited threads (shard workers are scoped threads)
+//! stay in the ring like any other.
 //!
-//! # Ordering guarantees
+//! # Ordering
 //!
-//! * Events emitted by **one thread** appear in emission order: `span_id`s
-//!   are minted from a global monotone counter, so later emissions on the
-//!   same thread always carry larger ids.
-//! * Events from **different threads** are ordered by timestamp `t_us`
-//!   (microseconds since the process-wide epoch), with `(tid, span_id)` as
-//!   the deterministic tiebreak. Timestamps from concurrent threads are
-//!   only as ordered as the clock is — cross-thread order at equal `t_us`
-//!   is a presentation choice, not a causality claim.
-//! * A ring that overflows drops its **oldest** events; the merged log is
-//!   therefore always a suffix of each thread's true history (recent
-//!   events are never sacrificed for old ones).
-//! * A thread that **exits** (shard workers are scoped threads) retires
-//!   its ring into a bounded process-wide buffer, so worker events
-//!   survive the worker and still merge into later drains.
+//! `span_id` is minted and `t_us` read under the ring's lock, so the
+//! stored log is in emission order across all threads: `span_id` strictly
+//! increases and `t_us` never decreases along it. [`drain`] and
+//! [`snapshot`] return it as stored.
 //!
 //! # Zero-cost discipline
 //!
@@ -41,26 +31,19 @@
 //! disabled ([`set_enabled`]). With tracing disabled, [`emit`] is a single
 //! relaxed atomic load.
 
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-/// Capacity of each per-thread event ring. Oldest events are dropped
-/// first; 512 events comfortably cover the recent history of a shard
-/// worker between drains.
-pub const RING_CAPACITY: usize = 512;
+/// Capacity of the event ring. Oldest events are dropped first.
+pub const RING_CAPACITY: usize = 8192;
 
 /// Bound on the number of live progress rows ([`progress`]); oldest
 /// trace ids are evicted first.
 const PROGRESS_CAPACITY: usize = 1024;
-
-/// Bound on the retired-events buffer that catches ring contents when a
-/// thread exits (shard workers are short-lived scoped threads — without
-/// this their events would die with the thread). Oldest dropped first.
-const RETIRED_CAPACITY: usize = RING_CAPACITY * 16;
 
 /// One structured telemetry event.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -69,8 +52,6 @@ pub struct TraceEvent {
     pub trace_id: u64,
     /// Unique id of this event, minted from a global monotone counter.
     pub span_id: u64,
-    /// `span_id` of the enclosing event (0 = root).
-    pub parent: u64,
     /// What happened — a static stage name such as `"shard.dispatch"`.
     pub stage: &'static str,
     /// Microseconds since the process-wide trace epoch.
@@ -81,17 +62,6 @@ pub struct TraceEvent {
     pub fields: Vec<(&'static str, u64)>,
 }
 
-/// The propagable part of a thread's trace state: capture it with
-/// [`current`] before handing work to another thread, re-establish it
-/// there with [`adopt`].
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct TraceContext {
-    /// The job correlation id (0 = none).
-    pub trace_id: u64,
-    /// The parent span new emissions will attach to.
-    pub parent: u64,
-}
-
 /// A sampled progress row for one job: monotone `done` out of `total`.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct ProgressSnap {
@@ -100,14 +70,13 @@ pub struct ProgressSnap {
     /// Total planned work units (the shard plan length, the Chernoff
     /// sample budget, …).
     pub total: u64,
-    /// Timestamp of the last advance, microseconds since the epoch.
-    pub t_us: u64,
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(true);
 static NEXT_TRACE_ID: AtomicU64 = AtomicU64::new(1);
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
+static RING: Mutex<VecDeque<TraceEvent>> = Mutex::new(VecDeque::new());
 
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
@@ -118,46 +87,14 @@ fn now_us() -> u64 {
     u64::try_from(epoch().elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
-struct Ring {
-    tid: u64,
-    events: VecDeque<TraceEvent>,
-}
-
-impl Drop for Ring {
-    /// A thread's ring dies with the thread (the thread-local holds the
-    /// last strong `Arc`). Shard workers are short-lived scoped threads,
-    /// so their history must outlive them: salvage it into the retired
-    /// buffer, where drains and snapshots still find it.
-    fn drop(&mut self) {
-        if self.events.is_empty() {
-            return;
-        }
-        let mut retired = retired().lock().expect("trace retired lock");
-        retired.extend(self.events.drain(..));
-        while retired.len() > RETIRED_CAPACITY {
-            retired.pop_front();
-        }
-    }
-}
-
-fn registry() -> &'static Mutex<Vec<Weak<Mutex<Ring>>>> {
-    static REGISTRY: OnceLock<Mutex<Vec<Weak<Mutex<Ring>>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-fn retired() -> &'static Mutex<VecDeque<TraceEvent>> {
-    static RETIRED: OnceLock<Mutex<VecDeque<TraceEvent>>> = OnceLock::new();
-    RETIRED.get_or_init(|| Mutex::new(VecDeque::new()))
-}
-
 fn progress_table() -> &'static Mutex<BTreeMap<u64, ProgressSnap>> {
     static TABLE: OnceLock<Mutex<BTreeMap<u64, ProgressSnap>>> = OnceLock::new();
     TABLE.get_or_init(|| Mutex::new(BTreeMap::new()))
 }
 
 thread_local! {
-    static CONTEXT: RefCell<TraceContext> = const { RefCell::new(TraceContext { trace_id: 0, parent: 0 }) };
-    static LOCAL_RING: RefCell<Option<Arc<Mutex<Ring>>>> = const { RefCell::new(None) };
+    static TRACE_ID: Cell<u64> = const { Cell::new(0) };
+    static TID: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Globally enables or disables event emission (default: enabled). The
@@ -177,145 +114,96 @@ pub fn mint_trace_id() -> u64 {
     NEXT_TRACE_ID.fetch_add(1, Ordering::Relaxed)
 }
 
-/// The calling thread's current trace context.
-pub fn current() -> TraceContext {
-    CONTEXT.with(|ctx| *ctx.borrow())
+/// The calling thread's current trace id (0 = none).
+pub fn current() -> u64 {
+    TRACE_ID.with(Cell::get)
 }
 
-/// Guard restoring the thread's previous trace context on drop.
+/// Guard restoring the thread's previous trace id on drop.
 #[derive(Debug)]
 pub struct ContextGuard {
-    previous: TraceContext,
+    previous: u64,
 }
 
 impl Drop for ContextGuard {
     fn drop(&mut self) {
-        CONTEXT.with(|ctx| *ctx.borrow_mut() = self.previous);
+        TRACE_ID.with(|id| id.set(self.previous));
     }
 }
 
-/// Installs `context` as the calling thread's trace context until the
+/// Installs `trace_id` as the calling thread's trace id until the
 /// returned guard drops. This is the propagation primitive: capture
-/// [`current`] (or build a context from a minted id) on the submitting
-/// thread, move the plain-data [`TraceContext`] into the worker closure,
-/// and `adopt` it there.
-pub fn adopt(context: TraceContext) -> ContextGuard {
-    let previous = CONTEXT.with(|ctx| std::mem::replace(&mut *ctx.borrow_mut(), context));
-    ContextGuard { previous }
+/// [`current`] (or mint an id) on the submitting thread, move the id into
+/// the worker closure, and `adopt` it there.
+pub fn adopt(trace_id: u64) -> ContextGuard {
+    ContextGuard {
+        previous: TRACE_ID.with(|id| id.replace(trace_id)),
+    }
 }
 
-/// Starts a fresh root context for `trace_id` on this thread (parent 0).
-pub fn begin(trace_id: u64) -> ContextGuard {
-    adopt(TraceContext {
-        trace_id,
-        parent: 0,
-    })
-}
-
-fn local_ring() -> Arc<Mutex<Ring>> {
-    LOCAL_RING.with(|slot| {
-        let mut slot = slot.borrow_mut();
-        if let Some(ring) = slot.as_ref() {
-            return ring.clone();
+fn tid() -> u64 {
+    TID.with(|tid| {
+        if tid.get() == 0 {
+            tid.set(NEXT_TID.fetch_add(1, Ordering::Relaxed));
         }
-        let ring = Arc::new(Mutex::new(Ring {
-            tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
-            events: VecDeque::with_capacity(RING_CAPACITY),
-        }));
-        registry()
-            .lock()
-            .expect("trace registry lock")
-            .push(Arc::downgrade(&ring));
-        *slot = Some(ring.clone());
-        ring
+        tid.get()
     })
 }
 
-/// Emits one event into the calling thread's ring, attached to the
-/// thread's current [`TraceContext`]. Returns the minted `span_id`
-/// (0 when emission is disabled), which callers may install as the
-/// parent of downstream events.
-pub fn emit(stage: &'static str, fields: &[(&'static str, u64)]) -> u64 {
+/// Records one event under the calling thread's current trace id.
+pub fn emit(stage: &'static str, fields: &[(&'static str, u64)]) {
     if !enabled() {
-        return 0;
+        return;
     }
-    let context = current();
-    let span_id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
-    let ring = local_ring();
-    let mut ring = ring.lock().expect("trace ring lock");
-    let tid = ring.tid;
-    if ring.events.len() >= RING_CAPACITY {
-        ring.events.pop_front();
+    let (trace_id, tid, fields) = (current(), tid(), fields.to_vec());
+    let mut ring = RING.lock().expect("trace ring lock");
+    if ring.len() >= RING_CAPACITY {
+        ring.pop_front();
     }
-    ring.events.push_back(TraceEvent {
-        trace_id: context.trace_id,
-        span_id,
-        parent: context.parent,
+    ring.push_back(TraceEvent {
+        trace_id,
+        span_id: NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed),
         stage,
         t_us: now_us(),
         tid,
-        fields: fields.to_vec(),
+        fields,
     });
-    span_id
 }
 
-fn ordered(mut events: Vec<TraceEvent>) -> Vec<TraceEvent> {
-    events.sort_by_key(|e| (e.t_us, e.tid, e.span_id));
-    events
-}
-
-fn collect(drain: bool) -> Vec<TraceEvent> {
-    let mut registry = registry().lock().expect("trace registry lock");
-    let mut events = Vec::new();
-    registry.retain(|weak| {
-        let Some(ring) = weak.upgrade() else {
-            return false;
-        };
-        let mut ring = ring.lock().expect("trace ring lock");
-        if drain {
-            events.extend(ring.events.drain(..));
-        } else {
-            events.extend(ring.events.iter().cloned());
-        }
-        true
-    });
-    // The registry lock is still held, so a ring retiring concurrently
-    // (thread exit) cannot be missed by this pass and double-seen by the
-    // next: it either upgraded above or already sits in `retired`.
-    let mut retired = retired().lock().expect("trace retired lock");
-    if drain {
-        events.extend(retired.drain(..));
-    } else {
-        events.extend(retired.iter().cloned());
-    }
-    drop(retired);
-    ordered(events)
-}
-
-/// Removes and returns every recorded event, merged across all thread
-/// rings into one ordered log (see the module docs for the ordering
-/// guarantees).
+/// Removes and returns every recorded event, in emission order.
 pub fn drain() -> Vec<TraceEvent> {
-    collect(true)
+    RING.lock().expect("trace ring lock").drain(..).collect()
 }
 
 /// Copies the recorder's current contents without clearing them.
 pub fn snapshot() -> Vec<TraceEvent> {
-    collect(false)
+    RING.lock()
+        .expect("trace ring lock")
+        .iter()
+        .cloned()
+        .collect()
 }
 
-/// Copies the recorded events of one job, ordered.
+/// Copies the recorded events of one job, in emission order.
 pub fn snapshot_trace(trace_id: u64) -> Vec<TraceEvent> {
-    let mut events = snapshot();
-    events.retain(|e| e.trace_id == trace_id);
-    events
+    RING.lock()
+        .expect("trace ring lock")
+        .iter()
+        .filter(|e| e.trace_id == trace_id)
+        .cloned()
+        .collect()
 }
 
 /// The stage name of the most recent event recorded for `trace_id` —
 /// i.e. the last stage the job completed before it stalled, panicked, or
 /// deadlined out.
 pub fn last_stage(trace_id: u64) -> Option<&'static str> {
-    snapshot_trace(trace_id).last().map(|e| e.stage)
+    RING.lock()
+        .expect("trace ring lock")
+        .iter()
+        .rev()
+        .find(|e| e.trace_id == trace_id)
+        .map(|e| e.stage)
 }
 
 /// Renders a human-readable flight-recorder excerpt for one job: one
@@ -325,8 +213,8 @@ pub fn dump(trace_id: u64) -> String {
     for event in snapshot_trace(trace_id) {
         let _ = write!(
             out,
-            "  [{:>10}us] trace={} span={} parent={} tid={} {}",
-            event.t_us, event.trace_id, event.span_id, event.parent, event.tid, event.stage
+            "  [{:>10}us] trace={} span={} tid={} {}",
+            event.t_us, event.trace_id, event.span_id, event.tid, event.stage
         );
         for (key, value) in &event.fields {
             let _ = write!(out, " {key}={value}");
@@ -345,22 +233,16 @@ pub fn progress(done: u64, total: u64) {
     if !enabled() {
         return;
     }
-    let trace_id = current().trace_id;
+    let trace_id = current();
     if trace_id == 0 {
         return;
     }
     let mut table = progress_table().lock().expect("trace progress lock");
-    let row = table.entry(trace_id).or_insert(ProgressSnap {
-        done: 0,
-        total,
-        t_us: 0,
-    });
+    let row = table
+        .entry(trace_id)
+        .or_insert(ProgressSnap { done: 0, total });
     if done >= row.done {
-        *row = ProgressSnap {
-            done,
-            total,
-            t_us: now_us(),
-        };
+        *row = ProgressSnap { done, total };
     }
     if table.len() > PROGRESS_CAPACITY {
         table.pop_first();
@@ -389,8 +271,8 @@ mod tests {
     use super::*;
 
     /// The recorder is process-global and these tests toggle the enable
-    /// flag and drain rings; serialize them so the default parallel test
-    /// runner cannot interleave a disabled window into another test.
+    /// flag and drain the ring; serialize them so the default parallel
+    /// test runner cannot interleave a disabled window into another test.
     fn serial() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock()
@@ -398,14 +280,13 @@ mod tests {
     }
 
     #[test]
-    fn events_carry_the_adopted_context_and_drain_in_order() {
+    fn events_carry_the_adopted_trace_id_and_drain_in_order() {
         let _serial = serial();
         let trace_id = mint_trace_id();
-        let guard = begin(trace_id);
-        let first = emit("test.first", &[("k", 1)]);
-        let second = emit("test.second", &[]);
+        let guard = adopt(trace_id);
+        emit("test.first", &[("k", 1)]);
+        emit("test.second", &[]);
         drop(guard);
-        assert!(first > 0 && second > first, "span ids are monotone");
 
         let events = snapshot_trace(trace_id);
         assert_eq!(events.len(), 2);
@@ -419,23 +300,23 @@ mod tests {
     }
 
     #[test]
-    fn context_restores_on_guard_drop_and_crosses_threads() {
+    fn trace_id_restores_on_guard_drop_and_crosses_threads() {
         let _serial = serial();
         let outer = current();
         let trace_id = mint_trace_id();
         {
-            let _guard = begin(trace_id);
-            assert_eq!(current().trace_id, trace_id);
-            let ctx = current();
+            let _guard = adopt(trace_id);
+            assert_eq!(current(), trace_id);
+            let id = current();
             std::thread::scope(|scope| {
                 scope.spawn(move || {
-                    assert_eq!(current().trace_id, 0, "fresh thread starts blank");
-                    let _g = adopt(ctx);
+                    assert_eq!(current(), 0, "fresh thread starts blank");
+                    let _g = adopt(id);
                     emit("test.worker", &[]);
                 });
             });
         }
-        assert_eq!(current(), outer, "guard restores the previous context");
+        assert_eq!(current(), outer, "guard restores the previous trace id");
         assert!(snapshot_trace(trace_id)
             .iter()
             .any(|e| e.stage == "test.worker"));
@@ -445,12 +326,11 @@ mod tests {
     fn disabled_emission_records_nothing() {
         let _serial = serial();
         let trace_id = mint_trace_id();
-        let _guard = begin(trace_id);
+        let _guard = adopt(trace_id);
         set_enabled(false);
-        let span = emit("test.dropped", &[]);
+        emit("test.dropped", &[]);
         progress(1, 2);
         set_enabled(true);
-        assert_eq!(span, 0);
         assert!(snapshot_trace(trace_id).is_empty());
         assert!(progress_of(trace_id).is_none());
     }
@@ -459,25 +339,62 @@ mod tests {
     fn ring_keeps_the_most_recent_events() {
         let _serial = serial();
         let trace_id = mint_trace_id();
-        let _guard = begin(trace_id);
-        // Overflow this thread's ring; the survivors must be the newest.
-        for i in 0..(RING_CAPACITY as u64 + 50) {
+        let _guard = adopt(trace_id);
+        // Overflow the ring; the survivors must be the newest, in order.
+        let flood = RING_CAPACITY as u64 + 50;
+        for i in 0..flood {
             emit("test.flood", &[("i", i)]);
         }
         let events = snapshot_trace(trace_id);
-        assert!(events.len() <= RING_CAPACITY);
-        let last = events.last().expect("flood recorded");
-        assert_eq!(last.fields[0].1, RING_CAPACITY as u64 + 49);
-        // Drain clears the ring (other threads' events may remain).
+        assert_eq!(events.len(), RING_CAPACITY);
+        assert!(events
+            .iter()
+            .zip(50..flood)
+            .all(|(e, i)| e.fields == vec![("i", i)]));
         drain();
-        assert!(snapshot_trace(trace_id).is_empty());
+        assert!(snapshot().is_empty());
+    }
+
+    #[test]
+    fn threads_share_one_ordered_log_that_outlives_them() {
+        let _serial = serial();
+        drain();
+        const THREADS: usize = 4;
+        const PER_THREAD: u64 = 200;
+        let ids: Vec<u64> = (0..THREADS).map(|_| mint_trace_id()).collect();
+        std::thread::scope(|scope| {
+            for &id in &ids {
+                scope.spawn(move || {
+                    let _g = adopt(id);
+                    for i in 0..PER_THREAD {
+                        emit("test.thread", &[("i", i)]);
+                    }
+                });
+            }
+        });
+        // Every worker has exited; its events are still in the log.
+        let events = drain();
+        assert_eq!(events.len(), THREADS * PER_THREAD as usize);
+        assert!(events
+            .windows(2)
+            .all(|w| w[0].span_id < w[1].span_id && w[0].t_us <= w[1].t_us));
+        let mut tids = Vec::new();
+        for id in ids {
+            let mine: Vec<&TraceEvent> = events.iter().filter(|e| e.trace_id == id).collect();
+            assert!(mine.iter().map(|e| e.fields[0].1).eq(0..PER_THREAD));
+            assert!(mine.iter().all(|e| e.tid == mine[0].tid));
+            tids.push(mine[0].tid);
+        }
+        tids.sort_unstable();
+        tids.dedup();
+        assert_eq!(tids.len(), THREADS, "each thread has its own tid");
     }
 
     #[test]
     fn progress_rows_are_monotone() {
         let _serial = serial();
         let trace_id = mint_trace_id();
-        let _guard = begin(trace_id);
+        let _guard = adopt(trace_id);
         progress(5, 10);
         progress(3, 10); // a racing stale snapshot must not regress
         assert_eq!(progress_of(trace_id).expect("row").done, 5);

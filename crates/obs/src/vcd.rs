@@ -25,7 +25,7 @@ pub enum VcdValue {
 
 impl VcdValue {
     /// The single character used in the dump body.
-    pub fn glyph(self) -> char {
+    fn glyph(self) -> char {
         match self {
             VcdValue::V0 => '0',
             VcdValue::V1 => '1',

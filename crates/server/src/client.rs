@@ -244,23 +244,12 @@ impl Client {
         }
     }
 
-    /// Fetches the server's counter snapshot.
-    pub fn stats(&mut self) -> Result<Vec<(String, u64)>, ClientError> {
-        self.send(&Request::Stats)?;
-        match self.next_reply()? {
-            Reply::StatsReply { pairs } => Ok(pairs),
-            other => Err(ClientError::Protocol(format!(
-                "expected stats reply, got {other:?}"
-            ))),
-        }
-    }
-
-    /// Fetches the server's typed metrics snapshot plus its text
-    /// exposition rendering.
-    pub fn telemetry(&mut self) -> Result<(Vec<(String, TelemetryValue)>, String), ClientError> {
+    /// Fetches the server's metrics snapshot: `(name, value)` pairs,
+    /// sorted by name.
+    pub fn telemetry(&mut self) -> Result<Vec<(String, TelemetryValue)>, ClientError> {
         self.send(&Request::Telemetry)?;
         match self.next_reply()? {
-            Reply::TelemetryReply { metrics, text } => Ok((metrics, text)),
+            Reply::TelemetryReply { metrics } => Ok(metrics),
             other => Err(ClientError::Protocol(format!(
                 "expected telemetry reply, got {other:?}"
             ))),

@@ -4,7 +4,6 @@
 //! frame      := u32 len (LE, covers tag) · u8 tag · payload
 //! requests   : 0x01 Hello      magic=0x53435443 u32 · version u16-as-u32
 //!              0x02 Job        options · spec
-//!              0x03 Stats
 //!              0x04 Shutdown
 //!              0x05 Telemetry
 //! replies    : 0x81 HelloAck   version u32
@@ -16,12 +15,16 @@
 //!                              · trace_id u64
 //!              0x86 Timeout    job_id u64 · deadline_ms u64
 //!              0x87 Error      code u32 · message str
-//!              0x88 StatsReply count u32 · (name str · value u64)*
 //!              0x89 ShutdownAck draining u64
 //!              0x8A Progress   job_id u64 · trace_id u64 · done u64 ·
 //!                              total u64 · eta_us u64
-//!              0x8B TelemetryReply metrics (name str · value)* · text str
+//!              0x8B TelemetryReply count u32 · (name str · value)*
+//! value      := 0x00 counter u64
+//!             | 0x02 histogram count u64 · sum · min · max · p50 · p90 · p99 (f64)
 //! ```
+//!
+//! Version 4 retired request 0x03 and reply 0x88 (the stats pair) and
+//! value kind 0x01 (gauge); they decode to [`WireError::BadTag`].
 //!
 //! All integers little-endian; strings length-prefixed UTF-8; `f64` as
 //! IEEE-754 bits. Decoders are total: any byte sequence maps to a value
@@ -43,8 +46,10 @@ pub const MAGIC: u32 = 0x5343_5443;
 /// Protocol version. Bumped on any grammar change. Version 2 added the
 /// telemetry plane: trace ids on `Accepted`/`Done`, streamed `Progress`
 /// frames, and the `Telemetry` request/reply pair. Version 3 dropped the
-/// monitoring-engine byte from every job spec.
-pub const VERSION: u32 = 3;
+/// monitoring-engine byte from every job spec. Version 4 dropped the
+/// stats request/reply pair, gauges and the telemetry text: the
+/// `Telemetry` reply is the one metrics snapshot.
+pub const VERSION: u32 = 4;
 
 /// Server refused the job: malformed request.
 pub const ERR_BAD_REQUEST: u32 = 1;
@@ -69,8 +74,6 @@ pub enum Served {
 pub enum TelemetryValue {
     /// Monotone counter.
     Counter(u64),
-    /// Last-observed gauge.
-    Gauge(f64),
     /// Histogram summary with pre-computed quantile estimates.
     Histogram {
         /// Number of observations.
@@ -107,12 +110,9 @@ pub enum Request {
         /// The job content.
         spec: JobSpec,
     },
-    /// Snapshot the server's counters.
-    Stats,
     /// Begin graceful shutdown: drain in-flight jobs, refuse new ones.
     Shutdown,
-    /// Snapshot the server's metrics registry (counters, gauges and
-    /// histogram quantiles) plus its text exposition rendering.
+    /// Snapshot the server's metrics: counters and histogram quantiles.
     Telemetry,
 }
 
@@ -178,11 +178,6 @@ pub enum Reply {
         /// Human-readable detail.
         message: String,
     },
-    /// Counter snapshot.
-    StatsReply {
-        /// `(name, value)` pairs, sorted by name.
-        pairs: Vec<(String, u64)>,
-    },
     /// Shutdown acknowledged; the ack is the last frame on the wire.
     ShutdownAck {
         /// Jobs still in flight when the drain began.
@@ -203,12 +198,11 @@ pub enum Reply {
         /// Estimated remaining wall, microseconds (0 = unknown).
         eta_us: u64,
     },
-    /// Metrics snapshot: the typed registry plus its text exposition.
+    /// Metrics snapshot: the server's counters and histograms plus the
+    /// result cache's counters.
     TelemetryReply {
         /// `(name, value)` pairs, sorted by name.
         metrics: Vec<(String, TelemetryValue)>,
-        /// Prometheus-style text exposition of the same registry.
-        text: String,
     },
 }
 
@@ -701,7 +695,6 @@ impl Request {
                 put_spec(&mut w, spec);
                 0x02
             }
-            Request::Stats => 0x03,
             Request::Shutdown => 0x04,
             Request::Telemetry => 0x05,
         };
@@ -728,7 +721,6 @@ impl Request {
                     spec,
                 }
             }
-            0x03 => Request::Stats,
             0x04 => Request::Shutdown,
             0x05 => Request::Telemetry,
             code => {
@@ -808,14 +800,6 @@ impl Reply {
                 w.str(message);
                 0x87
             }
-            Reply::StatsReply { pairs } => {
-                w.seq(pairs.len());
-                for (name, value) in pairs {
-                    w.str(name);
-                    w.u64(*value);
-                }
-                0x88
-            }
             Reply::ShutdownAck { draining } => {
                 w.u64(*draining);
                 0x89
@@ -834,7 +818,7 @@ impl Reply {
                 w.u64(*eta_us);
                 0x8A
             }
-            Reply::TelemetryReply { metrics, text } => {
+            Reply::TelemetryReply { metrics } => {
                 w.seq(metrics.len());
                 for (name, value) in metrics {
                     w.str(name);
@@ -842,10 +826,6 @@ impl Reply {
                         TelemetryValue::Counter(v) => {
                             w.u8(0);
                             w.u64(*v);
-                        }
-                        TelemetryValue::Gauge(v) => {
-                            w.u8(1);
-                            w.f64(*v);
                         }
                         TelemetryValue::Histogram {
                             count,
@@ -867,7 +847,6 @@ impl Reply {
                         }
                     }
                 }
-                w.str(text);
                 0x8B
             }
         };
@@ -918,15 +897,6 @@ impl Reply {
                 code: r.u32()?,
                 message: r.str()?,
             },
-            0x88 => {
-                let count = r.seq(12)?;
-                let mut pairs = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let name = r.str()?;
-                    pairs.push((name, r.u64()?));
-                }
-                Reply::StatsReply { pairs }
-            }
             0x89 => Reply::ShutdownAck { draining: r.u64()? },
             0x8A => Reply::Progress {
                 job_id: r.u64()?,
@@ -942,7 +912,6 @@ impl Reply {
                     let name = r.str()?;
                     let value = match r.u8()? {
                         0 => TelemetryValue::Counter(r.u64()?),
-                        1 => TelemetryValue::Gauge(r.f64()?),
                         2 => TelemetryValue::Histogram {
                             count: r.u64()?,
                             sum: r.f64()?,
@@ -961,10 +930,7 @@ impl Reply {
                     };
                     metrics.push((name, value));
                 }
-                Reply::TelemetryReply {
-                    metrics,
-                    text: r.str()?,
-                }
+                Reply::TelemetryReply { metrics }
             }
             code => {
                 return Err(WireError::BadTag {
@@ -998,7 +964,6 @@ mod tests {
             magic: MAGIC,
             version: VERSION,
         });
-        round_trip_request(Request::Stats);
         round_trip_request(Request::Shutdown);
         round_trip_request(Request::Telemetry);
         for spec in [
@@ -1072,9 +1037,6 @@ mod tests {
             code: ERR_SHUTTING_DOWN,
             message: "draining".into(),
         });
-        round_trip_reply(Reply::StatsReply {
-            pairs: vec![("cache.hits".into(), 9)],
-        });
         round_trip_reply(Reply::ShutdownAck { draining: 1 });
         round_trip_reply(Reply::Progress {
             job_id: 3,
@@ -1086,7 +1048,6 @@ mod tests {
         round_trip_reply(Reply::TelemetryReply {
             metrics: vec![
                 ("server.jobs".into(), TelemetryValue::Counter(9)),
-                ("server.load".into(), TelemetryValue::Gauge(0.5)),
                 (
                     "server.job_wall_us.smc".into(),
                     TelemetryValue::Histogram {
@@ -1100,21 +1061,51 @@ mod tests {
                     },
                 ),
             ],
-            text: "# TYPE server_jobs counter\nserver_jobs 9\n".into(),
         });
     }
 
     #[test]
     fn telemetry_reply_rejects_unknown_value_kinds() {
-        let (tag, mut payload) = Reply::TelemetryReply {
+        let (tag, payload) = Reply::TelemetryReply {
             metrics: vec![("n".into(), TelemetryValue::Counter(1))],
-            text: String::new(),
         }
         .encode();
         // The value-kind byte sits right after the name: count (4) +
-        // name len (4) + "n" (1) = offset 9.
-        payload[9] = 9;
-        assert!(Reply::decode(tag, &payload).is_err());
+        // name len (4) + "n" (1) = offset 9. Kind 1 is the retired gauge.
+        for kind in [1, 9] {
+            let mut bad = payload.clone();
+            bad[9] = kind;
+            assert!(matches!(
+                Reply::decode(tag, &bad),
+                Err(WireError::BadTag {
+                    what: "telemetry value kind",
+                    ..
+                })
+            ));
+        }
+    }
+
+    #[test]
+    fn retired_frame_tags_decode_to_bad_tags() {
+        // Version 3's stats request (0x03) and its reply (0x88).
+        assert!(matches!(
+            Request::decode(0x03, &[]),
+            Err(WireError::BadTag {
+                what: "request frame",
+                code: 0x03
+            })
+        ));
+        let mut pairs = WireWriter::new();
+        pairs.seq(1);
+        pairs.str("cache.hits");
+        pairs.u64(9);
+        assert!(matches!(
+            Reply::decode(0x88, &pairs.into_bytes()),
+            Err(WireError::BadTag {
+                what: "reply frame",
+                code: 0x88
+            })
+        ));
     }
 
     #[test]
@@ -1186,7 +1177,7 @@ mod tests {
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let (tag, mut payload) = Request::Stats.encode();
+        let (tag, mut payload) = Request::Telemetry.encode();
         payload.push(0);
         assert!(matches!(
             Request::decode(tag, &payload),

@@ -181,32 +181,30 @@ impl ServerState {
         true
     }
 
-    /// The typed metrics snapshot plus its text exposition: the registry
-    /// (counters, gauges, histogram quantiles) and the cache's counters.
-    fn telemetry_snapshot(&self) -> (Vec<(String, TelemetryValue)>, String) {
-        let (mut out, text) = {
-            let metrics = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
-            let out: Vec<(String, TelemetryValue)> = metrics
-                .iter()
-                .map(|(name, value)| {
-                    let value = match value {
-                        MetricValue::Counter(v) => TelemetryValue::Counter(v),
-                        MetricValue::Gauge(v) => TelemetryValue::Gauge(v),
-                        MetricValue::Histogram(h) => TelemetryValue::Histogram {
-                            count: h.count,
-                            sum: h.sum,
-                            min: if h.count > 0 { h.min } else { 0.0 },
-                            max: if h.count > 0 { h.max } else { 0.0 },
-                            p50: h.quantile(0.5).unwrap_or(0.0),
-                            p90: h.quantile(0.9).unwrap_or(0.0),
-                            p99: h.quantile(0.99).unwrap_or(0.0),
-                        },
-                    };
-                    (name.to_owned(), value)
-                })
-                .collect();
-            (out, metrics.exposition())
-        };
+    /// The one metrics snapshot, sorted by name: the registry's counters
+    /// and histograms plus the result cache's counters.
+    fn snapshot(&self) -> Vec<(String, TelemetryValue)> {
+        let mut out: Vec<(String, TelemetryValue)> = self
+            .metrics
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .iter()
+            .map(|(name, value)| {
+                let value = match value {
+                    MetricValue::Counter(v) => TelemetryValue::Counter(v),
+                    MetricValue::Histogram(h) => TelemetryValue::Histogram {
+                        count: h.count,
+                        sum: h.sum,
+                        min: h.min,
+                        max: h.max,
+                        p50: h.quantile(0.5).unwrap_or(0.0),
+                        p90: h.quantile(0.9).unwrap_or(0.0),
+                        p99: h.quantile(0.99).unwrap_or(0.0),
+                    },
+                };
+                (name.to_owned(), value)
+            })
+            .collect();
         let cache = self.cache.stats();
         for (name, value) in [
             ("cache.hits", cache.hits),
@@ -221,32 +219,18 @@ impl ServerState {
             out.push((name.to_owned(), TelemetryValue::Counter(value)));
         }
         out.sort_by(|a, b| a.0.cmp(&b.0));
-        (out, text)
+        out
     }
 
-    /// The stats snapshot: server counters plus the cache's own.
-    fn stats_pairs(&self) -> Vec<(String, u64)> {
-        let mut pairs: Vec<(String, u64)> = {
-            let metrics = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
-            metrics
-                .iter()
-                .filter_map(|(name, value)| match value {
-                    sctc_obs::MetricValue::Counter(v) => Some((name.to_owned(), v)),
-                    _ => None,
-                })
-                .collect()
-        };
-        let cache = self.cache.stats();
-        pairs.push(("cache.hits".to_owned(), cache.hits));
-        pairs.push(("cache.misses".to_owned(), cache.misses));
-        pairs.push(("cache.coalesced".to_owned(), cache.coalesced));
-        pairs.push(("cache.evictions".to_owned(), cache.evictions));
-        pairs.push(("cache.failures".to_owned(), cache.failures));
-        pairs.push(("cache.uncacheable".to_owned(), cache.uncacheable));
-        pairs.push(("cache.entries".to_owned(), cache.entries as u64));
-        pairs.push(("cache.bytes".to_owned(), cache.bytes as u64));
-        pairs.sort();
-        pairs
+    /// The snapshot's counter entries.
+    fn counters(&self) -> Vec<(String, u64)> {
+        self.snapshot()
+            .into_iter()
+            .filter_map(|(name, value)| match value {
+                TelemetryValue::Counter(v) => Some((name, v)),
+                TelemetryValue::Histogram { .. } => None,
+            })
+            .collect()
     }
 }
 
@@ -263,10 +247,10 @@ impl ServerHandle {
         self.addr
     }
 
-    /// In-process snapshot of the stats counters a `Stats` request would
-    /// return — the operator log line's data source.
+    /// In-process read of the counter entries of the `Telemetry`
+    /// snapshot, sorted by name — the operator log line's data source.
     pub fn stats(&self) -> Vec<(String, u64)> {
-        self.state.stats_pairs()
+        self.state.counters()
     }
 
     /// A clonable `'static` reader of the same snapshot, for logging
@@ -274,7 +258,7 @@ impl ServerHandle {
     /// needs `&mut self` to shut down).
     pub fn stats_reader(&self) -> impl Fn() -> Vec<(String, u64)> + Send + 'static {
         let state = self.state.clone();
-        move || state.stats_pairs()
+        move || state.counters()
     }
 
     /// Blocks until a shutdown frame (or another thread) flips the flag,
@@ -457,17 +441,9 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<ServerState>, default_de
                 Ok(Request::Job { options, spec }) => {
                     handle_job(&mut stream, state, &options, &spec, default_deadline_ms);
                 }
-                Ok(Request::Stats) => {
-                    let _ = send_reply(
-                        &mut stream,
-                        &Reply::StatsReply {
-                            pairs: state.stats_pairs(),
-                        },
-                    );
-                }
                 Ok(Request::Telemetry) => {
-                    let (metrics, text) = state.telemetry_snapshot();
-                    let _ = send_reply(&mut stream, &Reply::TelemetryReply { metrics, text });
+                    let metrics = state.snapshot();
+                    let _ = send_reply(&mut stream, &Reply::TelemetryReply { metrics });
                 }
                 Ok(Request::Shutdown) => {
                     state.shutdown.store(true, Ordering::SeqCst);
@@ -542,7 +518,7 @@ fn handle_job(
     // shard workers downstream — carries this id, and the client gets it
     // echoed on `Accepted`/`Done` for cross-machine correlation.
     let trace_id = trace::mint_trace_id();
-    let _trace = trace::begin(trace_id);
+    let _trace = trace::adopt(trace_id);
     state.count("server.jobs");
     state.count(&format!("server.jobs.{kind}"));
     let key = spec.content_key();
@@ -590,9 +566,8 @@ fn handle_job(
             let worker_key = key.clone();
             let worker_spec = spec.clone();
             let worker_options = *options;
-            let worker_ctx = trace::current();
             std::thread::spawn(move || {
-                let _trace = trace::adopt(worker_ctx);
+                let _trace = trace::adopt(trace_id);
                 let result =
                     catch_unwind(AssertUnwindSafe(|| run_job(&worker_spec, &worker_options)))
                         .inspect(|output| {
@@ -645,11 +620,7 @@ fn handle_job(
             let last_done = last_progress.map_or(0, |p: sctc_obs::ProgressSnap| p.done);
             let snap = trace::progress_of(progress_key)
                 .or(last_progress)
-                .unwrap_or(sctc_obs::ProgressSnap {
-                    done: 0,
-                    total: 0,
-                    t_us: 0,
-                });
+                .unwrap_or(sctc_obs::ProgressSnap { done: 0, total: 0 });
             let _ = send_reply(
                 stream,
                 &Reply::Progress {

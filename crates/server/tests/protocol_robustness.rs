@@ -122,44 +122,72 @@ fn garbage_bytes_are_refused_cleanly() {
 }
 
 #[test]
-fn version_2_hello_gets_a_typed_error_and_the_server_keeps_serving() {
+fn stale_hello_versions_get_a_typed_error_and_the_server_keeps_serving() {
     let mut server = spawn(ServerConfig::default()).unwrap();
-    // A version-2 client (whose job specs still carry an engine byte) is
-    // refused at the handshake, before it can send a job.
-    let mut stream = raw_connect(server.addr());
-    let (tag, payload) = Request::Hello {
-        magic: MAGIC,
-        version: 2,
-    }
-    .encode();
-    stream.write_all(&encode_frame(tag, &payload)).unwrap();
-    let replies = drain_replies(&mut stream);
-    assert_eq!(
-        replies,
-        vec![Reply::Error {
-            code: ERR_BAD_REQUEST,
-            message: "handshake magic/version mismatch".to_owned(),
-        }],
-        "a stale protocol version earns exactly one typed error"
-    );
-
-    // Other clients are served normally, before and after the refusal.
     let mut client = Client::connect(server.addr()).unwrap();
     let outcome = client
         .submit(&JobSpec::small_campaign(5, 79), &JobOptions::default())
         .unwrap();
     assert!(matches!(outcome, sctc_server::JobOutcome::Done { .. }));
-    let mut stale = raw_connect(server.addr());
-    stale.write_all(&encode_frame(tag, &payload)).unwrap();
-    assert!(matches!(
-        drain_replies(&mut stale)[..],
-        [Reply::Error {
-            code: ERR_BAD_REQUEST,
-            ..
-        }]
-    ));
+    // A version-2 client (whose job specs still carry an engine byte) and
+    // a version-3 client (which may send the retired stats request) are
+    // refused at the handshake, before they can send anything else.
+    for version in [2, 3] {
+        let mut stream = raw_connect(server.addr());
+        let (tag, payload) = Request::Hello {
+            magic: MAGIC,
+            version,
+        }
+        .encode();
+        stream.write_all(&encode_frame(tag, &payload)).unwrap();
+        let replies = drain_replies(&mut stream);
+        assert_eq!(
+            replies,
+            vec![Reply::Error {
+                code: ERR_BAD_REQUEST,
+                message: "handshake magic/version mismatch".to_owned(),
+            }],
+            "a version-{version} hello earns exactly one typed error"
+        );
+
+        // Other clients are served normally after the refusal.
+        let outcome = client
+            .submit(
+                &JobSpec::small_campaign(5, 80 + u64::from(version)),
+                &JobOptions::default(),
+            )
+            .unwrap();
+        assert!(matches!(outcome, sctc_server::JobOutcome::Done { .. }));
+    }
+    server.shutdown();
+}
+
+#[test]
+fn retired_stats_request_gets_a_typed_error_and_the_server_keeps_serving() {
+    let mut server = spawn(ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    // Version 4 retired request tag 0x03 (the stats request): after a
+    // valid handshake it earns one typed error and the connection closes.
+    let mut stream = raw_connect(server.addr());
+    stream.write_all(&hello_frame()).unwrap();
+    stream.write_all(&encode_frame(0x03, &[])).unwrap();
+    let replies = drain_replies(&mut stream);
+    assert!(
+        matches!(
+            replies[..],
+            [
+                Reply::HelloAck { version: VERSION },
+                Reply::Error {
+                    code: ERR_BAD_REQUEST,
+                    ..
+                }
+            ]
+        ),
+        "a retired request earns exactly one typed error: {replies:?}"
+    );
+
     let outcome = client
-        .submit(&JobSpec::small_campaign(5, 80), &JobOptions::default())
+        .submit(&JobSpec::small_campaign(5, 84), &JobOptions::default())
         .unwrap();
     assert!(matches!(outcome, sctc_server::JobOutcome::Done { .. }));
     server.shutdown();
@@ -227,7 +255,7 @@ fn fuzzed_mutations_of_valid_frames_never_panic_the_decoder() {
             encode_frame(tag, &payload)
         },
         {
-            let (tag, payload) = Request::Stats.encode();
+            let (tag, payload) = Request::Telemetry.encode();
             encode_frame(tag, &payload)
         },
     ];

@@ -54,8 +54,7 @@ fn n_concurrent_identical_jobs_run_exactly_one_simulation() {
 
     // Counter-verified: one miss (one simulation), everyone else either
     // coalesced into the flight or hit the finished entry.
-    let mut control = Client::connect(addr).unwrap();
-    let pairs = control.stats().unwrap();
+    let pairs = server.stats();
     assert_eq!(stat(&pairs, "cache.misses"), 1);
     assert_eq!(
         stat(&pairs, "cache.hits") + stat(&pairs, "cache.coalesced"),
@@ -85,7 +84,7 @@ fn lru_eviction_under_a_tiny_byte_budget() {
         let outcome = client.submit(spec, &JobOptions::default()).unwrap();
         assert!(matches!(outcome, JobOutcome::Done { .. }));
     }
-    let pairs = client.stats().unwrap();
+    let pairs = server.stats();
     assert!(
         stat(&pairs, "cache.evictions") >= 1,
         "third insert exceeds the two-entry budget: {pairs:?}"

@@ -28,6 +28,17 @@ fn stat(pairs: &[(String, u64)], name: &str) -> u64 {
     pairs.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v)
 }
 
+/// The counter entries of a `Telemetry` snapshot, in snapshot order.
+fn counters(metrics: &[(String, TelemetryValue)]) -> Vec<(String, u64)> {
+    metrics
+        .iter()
+        .filter_map(|(name, value)| match value {
+            TelemetryValue::Counter(v) => Some((name.clone(), *v)),
+            TelemetryValue::Histogram { .. } => None,
+        })
+        .collect()
+}
+
 #[test]
 fn campaign_jobs_round_trip_fingerprint_identical_cold_and_warm() {
     let mut server = local_server();
@@ -176,14 +187,10 @@ fn shutdown_drains_in_flight_jobs_and_refuses_new_ones() {
     });
 
     // Wait until the slow job is demonstrably in flight, then shut down.
-    let mut control = Client::connect(addr).unwrap();
-    loop {
-        let pairs = control.stats().unwrap();
-        if stat(&pairs, "cache.misses") >= 1 {
-            break;
-        }
+    while stat(&server.stats(), "cache.misses") < 1 {
         std::thread::sleep(Duration::from_millis(5));
     }
+    let mut control = Client::connect(addr).unwrap();
     let draining = control.shutdown().unwrap();
     assert!(draining >= 1, "the slow job was in flight");
 
@@ -278,14 +285,14 @@ fn deadline_exceeded_jobs_leave_a_flight_recorder_dump() {
 }
 
 #[test]
-fn telemetry_request_returns_counters_and_exposition_text() {
+fn telemetry_request_returns_counters_and_histograms() {
     let mut server = local_server();
     let mut client = Client::connect(server.addr()).unwrap();
     let spec = JobSpec::small_campaign(20, 2718);
     let outcome = client.submit(&spec, &JobOptions::default()).unwrap();
     assert!(matches!(outcome, JobOutcome::Done { .. }));
 
-    let (metrics, text) = client.telemetry().unwrap();
+    let metrics = client.telemetry().unwrap();
     let jobs = metrics
         .iter()
         .find(|(name, _)| name == "server.jobs")
@@ -302,10 +309,6 @@ fn telemetry_request_returns_counters_and_exposition_text() {
                     if *count >= 1 && *p50 > 0.0 && *p99 >= *p50)
         }),
         "wall-clock histogram carries quantiles"
-    );
-    assert!(
-        text.contains("server_jobs") && text.contains("# TYPE"),
-        "text exposition is populated"
     );
     server.shutdown();
 }
@@ -339,7 +342,8 @@ fn stats_surface_server_and_cache_counters() {
         let outcome = client.submit(&spec, &JobOptions::default()).unwrap();
         assert!(matches!(outcome, JobOutcome::Done { .. }));
     }
-    let pairs = client.stats().unwrap();
+    let pairs = counters(&client.telemetry().unwrap());
+    assert_eq!(server.stats(), pairs, "one snapshot behind both reads");
     assert_eq!(stat(&pairs, "server.jobs"), 3);
     assert_eq!(stat(&pairs, "server.jobs.campaign"), 3);
     assert_eq!(stat(&pairs, "server.served.cold"), 1);

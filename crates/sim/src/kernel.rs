@@ -449,11 +449,6 @@ impl<'a> ProcessContext<'a> {
         self.sim.now
     }
 
-    /// Returns the id of the running process.
-    pub fn pid(&self) -> ProcessId {
-        self.pid
-    }
-
     /// Notifies an event.
     pub fn notify(&mut self, event: Event, kind: Notify) {
         self.sim.notify(event, kind);

@@ -474,13 +474,13 @@ pub fn run_smc_campaign(spec: &SmcSpec) -> SmcReport {
     let plan = shard_plan(budget, 1, spec.seed);
     let stop = AtomicBool::new(false);
     let fold = Mutex::new(Fold::new(spec));
-    let trace_ctx = trace::current();
+    let trace_id = trace::current();
     let t0 = Instant::now();
     let slots = run_shards_until(
         &plan,
         jobs,
         |shard| {
-            let _trace = trace::adopt(trace_ctx);
+            let _trace = trace::adopt(trace_id);
             let matrix = run_sample(spec, shard.index);
             let mut guard = fold.lock().expect("fold lock");
             let before = guard.next;

@@ -98,7 +98,6 @@ pub enum SmcDecision {
 /// below `ln(beta / (1 - alpha))`.
 #[derive(Clone, Debug)]
 pub struct Sprt {
-    query: SmcQuery,
     /// Log-likelihood increment of a success (negative: successes favour
     /// `Holds`).
     success_step: f64,
@@ -107,8 +106,7 @@ pub struct Sprt {
     upper: f64,
     lower: f64,
     llr: f64,
-    successes: u64,
-    failures: u64,
+    samples: u64,
 }
 
 impl Sprt {
@@ -116,20 +114,13 @@ impl Sprt {
     pub fn new(query: SmcQuery) -> Self {
         let (p0, p1) = (query.p0(), query.p1());
         Sprt {
-            query,
             success_step: (p0 / p1).ln(),
             failure_step: ((1.0 - p0) / (1.0 - p1)).ln(),
             upper: ((1.0 - query.beta) / query.alpha).ln(),
             lower: (query.beta / (1.0 - query.alpha)).ln(),
             llr: 0.0,
-            successes: 0,
-            failures: 0,
+            samples: 0,
         }
-    }
-
-    /// The query under test.
-    pub fn query(&self) -> SmcQuery {
-        self.query
     }
 
     /// Feeds one Bernoulli outcome; returns the decision if this outcome
@@ -137,13 +128,12 @@ impl Sprt {
     /// statistic keeps accumulating) but campaigns stop at the first
     /// `Some`.
     pub fn observe(&mut self, success: bool) -> Option<SmcDecision> {
-        if success {
-            self.successes += 1;
-            self.llr += self.success_step;
+        self.samples += 1;
+        self.llr += if success {
+            self.success_step
         } else {
-            self.failures += 1;
-            self.llr += self.failure_step;
-        }
+            self.failure_step
+        };
         self.decision()
     }
 
@@ -160,17 +150,7 @@ impl Sprt {
 
     /// Outcomes consumed so far.
     pub fn samples(&self) -> u64 {
-        self.successes + self.failures
-    }
-
-    /// Successes consumed so far.
-    pub fn successes(&self) -> u64 {
-        self.successes
-    }
-
-    /// Failures consumed so far.
-    pub fn failures(&self) -> u64 {
-        self.failures
+        self.samples
     }
 }
 

@@ -57,8 +57,6 @@ pub fn derive_seed_salted(base: u64, salt: u64, index: u64) -> u64 {
 #[derive(Debug)]
 pub struct Stimulus {
     rng: Rng,
-    seed: u64,
-    draws: u64,
 }
 
 impl Stimulus {
@@ -66,19 +64,7 @@ impl Stimulus {
     pub fn new(seed: u64) -> Self {
         Stimulus {
             rng: Rng::new(seed),
-            seed,
-            draws: 0,
         }
-    }
-
-    /// Returns the seed this generator was created with.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Returns the number of random draws taken so far.
-    pub fn draws(&self) -> u64 {
-        self.draws
     }
 
     /// Draws an integer in `lo..=hi`.
@@ -88,7 +74,6 @@ impl Stimulus {
     /// Panics if `lo > hi`.
     pub fn int_in(&mut self, lo: i32, hi: i32) -> i32 {
         assert!(lo <= hi, "empty range");
-        self.draws += 1;
         self.rng.i32_in(lo, hi)
     }
 
@@ -111,7 +96,6 @@ impl Stimulus {
     pub fn weighted<T: Copy>(&mut self, items: &[(T, u32)]) -> T {
         let total: u64 = items.iter().map(|&(_, w)| u64::from(w)).sum();
         assert!(total > 0, "weighted choice needs a positive total weight");
-        self.draws += 1;
         let mut point = self.rng.below(total);
         for &(item, w) in items {
             let w = u64::from(w);
@@ -125,7 +109,6 @@ impl Stimulus {
 
     /// Returns `true` with probability `percent`/100.
     pub fn chance(&mut self, percent: u32) -> bool {
-        self.draws += 1;
         self.rng.below(100) < u64::from(percent.min(100))
     }
 }
@@ -141,7 +124,6 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.int_in(-50, 50), b.int_in(-50, 50));
         }
-        assert_eq!(a.draws(), 100);
     }
 
     #[test]

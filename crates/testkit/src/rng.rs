@@ -193,14 +193,6 @@ impl Rng {
         // Draw unconditionally so the stream position never depends on `p`.
         self.f64() < p
     }
-
-    /// Splits off an independent child stream.
-    ///
-    /// The child is seeded from this stream's output, so forking advances
-    /// the parent deterministically.
-    pub fn fork(&mut self) -> Rng {
-        Rng::new(self.next_u64())
-    }
 }
 
 #[cfg(test)]
@@ -268,16 +260,6 @@ mod tests {
             .filter(|_| r.weighted(&[(true, 90), (false, 10)]))
             .count();
         assert!(heavy > 1600, "heavy arm drawn {heavy}/2000");
-    }
-
-    #[test]
-    fn fork_is_independent_but_deterministic() {
-        let mut a = Rng::new(99);
-        let mut b = Rng::new(99);
-        let mut ca = a.fork();
-        let mut cb = b.fork();
-        assert_eq!(ca.next_u64(), cb.next_u64());
-        assert_eq!(a.next_u64(), b.next_u64());
     }
 
     #[test]

@@ -165,14 +165,6 @@ impl Checker {
         self
     }
 
-    /// Sets the base seed unless `TESTKIT_SEED` overrides it.
-    pub fn seed(mut self, seed: u64) -> Self {
-        if env_u64("TESTKIT_SEED").is_none() {
-            self.seed = seed;
-        }
-        self
-    }
-
     /// Runs the property over `cases` generated values; on failure, shrinks
     /// the choice tape, persists it, and panics with the minimal case.
     pub fn run<T: Debug>(&self, gen: impl Fn(&mut Source<'_>) -> T, prop: impl Fn(&T)) {

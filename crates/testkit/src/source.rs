@@ -65,11 +65,6 @@ impl<'a> Source<'a> {
         v
     }
 
-    /// The tape of every draw made so far (normalized values, replayable).
-    pub fn tape(&self) -> &Tape {
-        &self.record
-    }
-
     /// Consumes the source, returning its tape.
     pub fn into_tape(self) -> Tape {
         self.record

@@ -44,11 +44,6 @@ impl Bernoulli {
         }
     }
 
-    /// The stream's success probability.
-    pub fn p(&self) -> f64 {
-        self.p
-    }
-
     /// Draws the next outcome.
     pub fn draw(&mut self) -> bool {
         self.rng.bernoulli(self.p)
