@@ -19,15 +19,23 @@
 //! The campaigns' scheduler counters ([`KernelStats`]) are pinned beside
 //! them: the ledger's `sim.*` rows read them, and a kernel change that
 //! moves a resume, a delta cycle or a time advance must say so here.
+//!
+//! Below the campaigns sit the synthesized tables themselves: the FNV-1a
+//! of every transition and every state verdict of each workload property's
+//! AR-automaton, read through [`ArAutomaton`]'s public `step` and
+//! `verdict`, so the pin holds whatever the automaton stores inside.
 
 use esw_verify::campaign::{run_campaign, CampaignFingerprint, CampaignSpec, FlowKind};
+use esw_verify::case_study::{response_property, Op};
 use esw_verify::cpu::IsaKind;
 use esw_verify::faults::scenario::{run_scenario_observed, ScenarioObs};
-use esw_verify::faults::{run_fault_campaign, EswProgram, FaultCampaignSpec};
+use esw_verify::faults::{
+    intact_property, recovery_property, run_fault_campaign, EswProgram, FaultCampaignSpec,
+};
 use esw_verify::sctc::{MonitorCounters, WitnessConfig};
 use esw_verify::sim::KernelStats;
 use esw_verify::smc::{run_smc_campaign, SmcSpec};
-use esw_verify::temporal::fnv1a64;
+use esw_verify::temporal::{fnv1a64, ArAutomaton, Formula, Verdict};
 
 const JOBS: [usize; 2] = [1, 2];
 /// Recovery bound of the micro-flow fault units, in clock cycles. A
@@ -62,6 +70,24 @@ const SMC_PLANTED_TORN_DERIVED_WORK: MonitorCounters = counters(240, 63084, 4164
 const DERIVED_FAULT_MATRIX_WORK: MonitorCounters = counters(88, 22242, 14804, 72);
 /// Accepted samples and merged counters of the micro planted-torn report.
 const SMC_PLANTED_TORN_MICRO_WORK: (u64, MonitorCounters) = (6, counters(120, 215238, 142649, 96));
+
+/// State count and [`table_hash`] of each pinned property's automaton.
+/// The response template over `Op::Read`, per bound; 20,000 is the
+/// micro-bounded workload's automaton.
+const RESPONSE_TABLES: [(Option<u64>, usize, u64); 5] = [
+    (Some(100), 103, 0xc616_9d7d_0e3d_0887),
+    (Some(1_000), 1003, 0x3ead_6b94_88c2_e7e7),
+    (Some(10_000), 10003, 0x1b78_fd38_cb9f_a087),
+    (Some(20_000), 20003, 0x470a_0fb6_0179_01bb),
+    (None, 2, 0x7d2f_a62a_249d_5284),
+];
+const RECOVERY_TABLES: [(u64, usize, u64); 2] = [
+    (5_000, 5003, 0xd8e5_5c1f_f45c_3907),
+    (20_000, 20003, 0xf973_4ee0_6cf4_75cb),
+];
+const INTACT_TABLE: (usize, u64) = (2, 0x2ea4_f7c3_eb9d_acda);
+/// The production recovery bound: the smc-faults workload's automaton.
+const RECOVERY_TABLE_200K: (usize, u64) = (200_003, 0xfd35_aa31_20c2_72f3);
 
 /// The scripted power-loss scenario on each flow and program, with
 /// witness capture and the property-timeline VCD switched on: the
@@ -391,4 +417,60 @@ fn smc_reports_match_their_golden_fingerprints() {
             assert_work(name, jobs, work, report.matrix.monitoring);
         }
     }
+}
+
+/// FNV-1a over an automaton's whole table, state by state: every
+/// `step(state, valuation)` as four little-endian bytes, then the state's
+/// verdict as one byte.
+fn table_hash(automaton: &ArAutomaton) -> u64 {
+    let mut bytes = Vec::new();
+    for state in 0..automaton.state_count() as u32 {
+        for valuation in 0..automaton.columns() as u64 {
+            bytes.extend_from_slice(&automaton.step(state, valuation).to_le_bytes());
+        }
+        bytes.push(match automaton.verdict(state) {
+            Verdict::Pending => 0,
+            Verdict::True => 1,
+            Verdict::False => 2,
+        });
+    }
+    fnv1a64(&bytes)
+}
+
+fn assert_table(name: &str, formula: &Formula, (states, hash): (usize, u64)) {
+    let automaton = ArAutomaton::synthesize(formula).expect("workload properties synthesize");
+    let got = (automaton.state_count(), table_hash(&automaton));
+    assert_eq!(
+        got,
+        (states, hash),
+        "{name} ({formula}): table (states, hash) ({}, {:#018x}) != pinned ({states}, {hash:#018x})",
+        got.0,
+        got.1
+    );
+}
+
+#[test]
+fn synthesized_tables_match_their_golden_hashes() {
+    for (bound, states, hash) in RESPONSE_TABLES {
+        let name = format!("response {bound:?}");
+        assert_table(&name, &response_property(Op::Read, bound), (states, hash));
+    }
+    for (bound, states, hash) in RECOVERY_TABLES {
+        let name = format!("recovery {bound}");
+        assert_table(&name, &recovery_property(bound), (states, hash));
+    }
+    assert_table("intact", &intact_property(), INTACT_TABLE);
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "synthesizes the 200k-state recovery automaton; run in release"
+)]
+fn production_recovery_table_matches_its_golden_hash() {
+    assert_table(
+        "recovery 200000",
+        &recovery_property(200_000),
+        RECOVERY_TABLE_200K,
+    );
 }
