@@ -23,7 +23,6 @@
 
 #![warn(missing_docs)]
 
-pub mod json;
 pub mod serve;
 pub mod timing;
 
@@ -408,7 +407,7 @@ pub fn witness_demo() -> Vec<WitnessDemo> {
     use faults::scenario::{run_scenario_observed, ScenarioObs};
     use faults::EswProgram;
     use sctc_core::{VcdDoc, VcdValue, WitnessConfig};
-    use sctc_temporal::{TableMonitor, Verdict};
+    use sctc_temporal::{CompiledMonitor, Verdict};
 
     let obs = ScenarioObs {
         witnesses: Some(WitnessConfig::default()),
@@ -433,7 +432,7 @@ pub fn witness_demo() -> Vec<WitnessDemo> {
             let witness = report.witnesses.iter().find(|w| w.property == "intact");
             let (decided_at, replay_ok, provenance_ok, witness_report) = match witness {
                 Some(w) => {
-                    let mut fresh = TableMonitor::new(&faults::intact_property())
+                    let mut fresh = CompiledMonitor::new(&faults::intact_property())
                         .expect("intact property synthesizes");
                     let replay = w.replay_with(&mut fresh);
                     (
@@ -561,47 +560,40 @@ pub fn telemetry_bench(scale: Scale) -> TelemetryBenchReport {
 /// Renders a flight-recorder log in the chrome://tracing JSON object
 /// format (load the file via `chrome://tracing` or Perfetto): one
 /// instant event per [`sctc_core::TraceEvent`], with the trace/span ids
-/// and numeric fields under `args`.
+/// and numeric fields under `args`. The document is pretty-printed with
+/// two-space indents. Stage names and field keys are static identifiers
+/// such as `shard.done` or `wall_us`, so no string needs escaping.
 pub fn render_chrome_trace(events: &[sctc_core::TraceEvent]) -> String {
-    use json::JsonWriter;
-    let mut w = JsonWriter::new();
-    w.begin_object();
-    w.key("traceEvents");
-    w.begin_array();
-    for event in events {
-        w.begin_object();
-        w.key("name");
-        w.string(event.stage);
-        w.key("cat");
-        w.string("sctc");
-        w.key("ph");
-        w.string("i");
-        w.key("ts");
-        w.number(event.t_us as f64);
-        w.key("pid");
-        w.number(1.0);
-        w.key("tid");
-        w.number(event.tid as f64);
-        w.key("s");
-        w.string("t");
-        w.key("args");
-        w.begin_object();
-        w.key("trace");
-        w.number(event.trace_id as f64);
-        w.key("span");
-        w.number(event.span_id as f64);
+    use std::fmt::Write as _;
+    let mut out = String::from("{\n  \"traceEvents\": [");
+    for (i, event) in events.iter().enumerate() {
+        let comma = if i == 0 { "" } else { "," };
+        let _ = write!(
+            out,
+            r#"{comma}
+    {{
+      "name": "{}",
+      "cat": "sctc",
+      "ph": "i",
+      "ts": {},
+      "pid": 1,
+      "tid": {},
+      "s": "t",
+      "args": {{
+        "trace": {},
+        "span": {}"#,
+            event.stage, event.t_us, event.tid, event.trace_id, event.span_id
+        );
         for (key, value) in &event.fields {
-            w.key(key);
-            w.number(*value as f64);
+            let _ = write!(out, ",\n        \"{key}\": {value}");
         }
-        w.end_object();
-        w.end_object();
+        out.push_str("\n      }\n    }");
     }
-    w.end_array();
-    w.key("displayTimeUnit");
-    w.string("ms");
-    w.end_object();
-    w.finish()
+    if !events.is_empty() {
+        out.push_str("\n  ");
+    }
+    out.push_str("],\n  \"displayTimeUnit\": \"ms\"\n}\n");
+    out
 }
 
 /// Renders a duration the way the paper's tables do (seconds).
@@ -616,8 +608,8 @@ mod telemetry_tests {
     /// The chrome://tracing JSON object format requires `traceEvents`
     /// plus `name`/`cat`/`ph`/`ts`/`pid`/`tid` per event; instant events
     /// additionally carry a scope `s`. Schema-check the renderer against
-    /// that field set, spelled as the pretty-printing [`json::JsonWriter`]
-    /// writes it (`"key": value`).
+    /// that field set, spelled as the pretty-printed document writes it
+    /// (`"key": value`).
     #[test]
     fn chrome_trace_export_matches_the_tracing_field_set() {
         let events = vec![

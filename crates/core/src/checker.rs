@@ -51,7 +51,7 @@ use sctc_obs::{
 use sctc_sim::{Activation, Event, Process, ProcessContext, ProcessId, Simulation};
 use sctc_temporal::{
     CompiledMonitor, Formula, Monitor, SynthesisCache, SynthesisError, SynthesisStats,
-    TableMonitor, TraceMonitor, Verdict,
+    TraceMonitor, Verdict,
 };
 
 use crate::proposition::{Proposition, Watch};
@@ -65,9 +65,10 @@ pub enum EngineKind {
     /// dirty tracking, and stutter runs answered by one run-table lookup.
     #[default]
     Compiled,
-    /// The synthesized automaton stepped naively: every bound proposition
-    /// is re-evaluated on every sample and every sample is one table step.
-    /// Kept as the reference engine for equivalence checks.
+    /// The same compiled monitor stepped naively: every bound proposition
+    /// is re-evaluated on every sample and every sample is one
+    /// [`TraceMonitor::step`], with no atom table, dirty tracking or
+    /// stutter runs. Kept as the reference engine for equivalence checks.
     Naive,
 }
 
@@ -551,37 +552,30 @@ impl Sctc {
         props: Vec<Box<dyn Proposition>>,
         engine: EngineKind,
     ) -> Result<(), SctcError> {
-        // The process-wide cache shares one immutable kernel (or automaton)
-        // per distinct formula across all checker instances, and thus
-        // across campaign worker threads.
-        let cache = SynthesisCache::global();
-        let (engine, synthesis) = match engine {
-            EngineKind::Compiled => match cache.synthesize_compiled(formula) {
-                Ok(kernel) => {
-                    let stats = kernel.stats();
-                    let monitor = CompiledMonitor::from_shared(kernel);
-                    (self.driven_engine(monitor, props, name)?, Some(stats))
+        // The process-wide cache shares one immutable kernel per distinct
+        // formula across all checker instances, and thus across campaign
+        // worker threads.
+        let (engine, synthesis) = match SynthesisCache::global().synthesize_compiled(formula) {
+            Ok(lookup) => {
+                let stats = lookup.automaton().stats();
+                if lookup.synthesized {
+                    sctc_obs::trace::emit(
+                        "synthesis",
+                        &[
+                            ("states", stats.states as u64),
+                            ("transitions", stats.transitions as u64),
+                        ],
+                    );
                 }
-                Err(refused) => (progression_engine(formula, props, name, refused)?, None),
-            },
-            EngineKind::Naive => match cache.synthesize(formula) {
-                Ok(automaton) => {
-                    let stats = automaton.stats();
-                    let monitor = Box::new(TableMonitor::from_shared(automaton));
-                    (naive_engine(monitor, props, name)?, Some(stats))
-                }
-                Err(refused) => (progression_engine(formula, props, name, refused)?, None),
-            },
+                let monitor = CompiledMonitor::from_shared(lookup.kernel);
+                let engine = match engine {
+                    EngineKind::Compiled => self.driven_engine(monitor, props, name)?,
+                    EngineKind::Naive => naive_engine(Box::new(monitor), props, name)?,
+                };
+                (engine, Some(stats))
+            }
+            Err(refused) => (progression_engine(formula, props, name, refused)?, None),
         };
-        if let Some(stats) = &synthesis {
-            sctc_obs::trace::emit(
-                "synthesis",
-                &[
-                    ("states", stats.states as u64),
-                    ("transitions", stats.transitions as u64),
-                ],
-            );
-        }
         self.checks.push(PropertyCheck {
             name: name.to_owned(),
             engine,
@@ -1302,6 +1296,40 @@ mod tests {
     }
 
     #[test]
+    fn only_a_synthesizing_registration_emits_a_synthesis_event() {
+        // A formula no other test registers, so the global cache is cold.
+        let formula = parse("G (synth_event_a -> F[<=37] synth_event_b)").unwrap();
+        let register = || {
+            let trace_id = sctc_obs::trace::mint_trace_id();
+            let _context = sctc_obs::trace::adopt(trace_id);
+            for engine in [
+                EngineKind::Compiled,
+                EngineKind::Naive,
+                EngineKind::Compiled,
+            ] {
+                let cell = Rc::new(Cell::new(false));
+                let props = vec![
+                    flag_prop("synth_event_a", cell.clone()),
+                    flag_prop("synth_event_b", cell),
+                ];
+                let mut sctc = Sctc::new();
+                sctc.add_property("p", &formula, props, engine).unwrap();
+                assert!(sctc.results()[0].synthesis.is_some());
+            }
+            sctc_obs::trace::snapshot_trace(trace_id)
+                .iter()
+                .filter(|e| e.stage == "synthesis")
+                .count()
+        };
+        assert_eq!(
+            register(),
+            1,
+            "cold cache: the first registration synthesizes"
+        );
+        assert_eq!(register(), 0, "warm cache: no registration synthesizes");
+    }
+
+    #[test]
     fn property_decides_from_sampled_propositions() {
         let mut sctc = Sctc::new();
         let a = Rc::new(Cell::new(false));
@@ -1640,7 +1668,7 @@ mod tests {
         assert!(!w.provenance[0].value);
         assert_eq!(w.provenance[0].sample, 4);
         // Replay re-drives a fresh automaton to the same decision.
-        let mut fresh = TableMonitor::new(&formula).unwrap();
+        let mut fresh = CompiledMonitor::new(&formula).unwrap();
         let outcome = w.replay_with(&mut fresh);
         assert_eq!(outcome.verdict, Verdict::False);
         assert_eq!(outcome.decided_at, Some(4));
@@ -1689,7 +1717,7 @@ mod tests {
         let w = &witnesses[0];
         assert_eq!(w.verdict, Verdict::False);
         assert_eq!(w.decided_at, Some(26));
-        let mut fresh = TableMonitor::new(&formula).unwrap();
+        let mut fresh = CompiledMonitor::new(&formula).unwrap();
         let outcome = w.replay_with(&mut fresh);
         assert_eq!(outcome.verdict, Verdict::False);
         assert_eq!(outcome.decided_at, Some(26));

@@ -74,7 +74,9 @@ mod tests {
     fn bounded_and_unbounded_templates_parse() {
         for op in Op::ALL {
             let bounded = response_property(op, Some(1000));
-            assert!(bounded.is_fully_bounded() || !bounded.is_fully_bounded());
+            // The bounded response sits inside an unbounded `G`, so no
+            // finite horizon decides it.
+            assert_eq!(bounded.decision_horizon(), None);
             assert_eq!(
                 bounded.propositions(),
                 vec!["op_active".to_owned(), "op_done".to_owned()]

@@ -268,11 +268,11 @@ impl WitnessRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sctc_temporal::{parse, TableMonitor};
+    use sctc_temporal::{parse, CompiledMonitor};
 
-    fn monitor_for(formula: &str) -> TableMonitor {
+    fn monitor_for(formula: &str) -> CompiledMonitor {
         let f = parse(formula).expect("parse");
-        TableMonitor::new(&f).expect("synthesize")
+        CompiledMonitor::new(&f).expect("synthesize")
     }
 
     #[test]

@@ -141,24 +141,6 @@ impl Formula {
         }
     }
 
-    /// Returns `true` if every temporal operator carries a time bound.
-    ///
-    /// Fully bounded formulas are decided after a fixed number of steps,
-    /// which is what makes the oracle comparison in the test suite possible.
-    pub fn is_fully_bounded(&self) -> bool {
-        match self {
-            Formula::True | Formula::False | Formula::Prop(_) => true,
-            Formula::Not(f) | Formula::Next(f) => f.is_fully_bounded(),
-            Formula::Finally(b, f) | Formula::Globally(b, f) => b.is_some() && f.is_fully_bounded(),
-            Formula::And(a, b) | Formula::Or(a, b) | Formula::Implies(a, b) => {
-                a.is_fully_bounded() && b.is_fully_bounded()
-            }
-            Formula::Until(bd, a, b) | Formula::Release(bd, a, b) => {
-                bd.is_some() && a.is_fully_bounded() && b.is_fully_bounded()
-            }
-        }
-    }
-
     /// The number of steps after which a fully bounded formula is guaranteed
     /// to be decided, or `None` for formulas with unbounded operators.
     pub fn decision_horizon(&self) -> Option<u64> {
@@ -304,10 +286,8 @@ mod tests {
     #[test]
     fn fully_bounded_detection() {
         let f = Formula::finally(Some(10), Formula::globally(Some(2), Formula::prop("p")));
-        assert!(f.is_fully_bounded());
         assert_eq!(f.decision_horizon(), Some(12));
         let g = Formula::finally(None, Formula::prop("p"));
-        assert!(!g.is_fully_bounded());
         assert_eq!(g.decision_horizon(), None);
     }
 

@@ -3,7 +3,10 @@
 //! SCTC's synthesis engine converts the IL representation into an executable
 //! monitor (paper Section 3). [`ArAutomaton::synthesize`] enumerates the
 //! reachable progression states for every proposition valuation up front,
-//! yielding a table-driven monitor whose step cost is a single array lookup.
+//! yielding a dense transition table whose step cost is a single array
+//! lookup. That table is the one copy of a property's automaton: the
+//! [`CompiledKernel`](crate::CompiledKernel) that the checker steps holds
+//! it behind an [`Arc`](std::sync::Arc) and adds only its stutter tables.
 //!
 //! Synthesis cost grows with the time bounds in the formula — the effect the
 //! paper reports as "large AR-automaton generation time" for the
@@ -16,7 +19,7 @@ use std::time::{Duration as WallDuration, Instant};
 
 use crate::ast::Formula;
 use crate::il::{IlError, IlStore, NodeId};
-use crate::progress::{progress, Valuation};
+use crate::progress::{progress_with, Valuation};
 use crate::verdict::Verdict;
 
 /// Limits and failures of explicit synthesis.
@@ -70,11 +73,15 @@ pub struct SynthesisStats {
     pub generation_time: WallDuration,
 }
 
+/// Sink-id sentinel for an automaton without an accept (or reject) sink.
+pub(crate) const NO_SINK: u32 = u32::MAX;
+
 /// An explicit AR-automaton over the propositions of one formula.
 ///
 /// State 0 is the initial state. The accept and reject sinks carry verdicts
 /// [`Verdict::True`] and [`Verdict::False`]; all other states are
-/// [`Verdict::Pending`].
+/// [`Verdict::Pending`], so the automaton records the two sink ids instead
+/// of a verdict per state.
 ///
 /// # Examples
 ///
@@ -94,8 +101,11 @@ pub struct ArAutomaton {
     props: Vec<String>,
     /// `transitions[state * columns + valuation]` = next state.
     transitions: Vec<u32>,
-    verdicts: Vec<Verdict>,
     columns: usize,
+    /// State id of the accept sink ([`NO_SINK`] if unreachable).
+    pub(crate) accept: u32,
+    /// State id of the reject sink ([`NO_SINK`] if unreachable).
+    pub(crate) reject: u32,
     stats: SynthesisStats,
 }
 
@@ -135,28 +145,18 @@ impl ArAutomaton {
         let mut state_of: HashMap<NodeId, u32> = HashMap::new();
         let mut nodes: Vec<NodeId> = Vec::new();
         let mut transitions: Vec<u32> = Vec::new();
-        let mut verdicts: Vec<Verdict> = Vec::new();
+        // One progression memo for the whole run, cleared per call.
+        let mut memo = HashMap::new();
 
-        let get_state = |node: NodeId,
-                         nodes: &mut Vec<NodeId>,
-                         verdicts: &mut Vec<Verdict>,
-                         state_of: &mut HashMap<NodeId, u32>|
-         -> u32 {
-            *state_of.entry(node).or_insert_with(|| {
-                let id = nodes.len() as u32;
-                nodes.push(node);
-                verdicts.push(if node == IlStore::TRUE {
-                    Verdict::True
-                } else if node == IlStore::FALSE {
-                    Verdict::False
-                } else {
-                    Verdict::Pending
-                });
-                id
-            })
-        };
+        let get_state =
+            |node: NodeId, nodes: &mut Vec<NodeId>, state_of: &mut HashMap<NodeId, u32>| -> u32 {
+                *state_of.entry(node).or_insert_with(|| {
+                    nodes.push(node);
+                    nodes.len() as u32 - 1
+                })
+            };
 
-        let initial = get_state(root, &mut nodes, &mut verdicts, &mut state_of);
+        let initial = get_state(root, &mut nodes, &mut state_of);
         debug_assert_eq!(initial, Self::INITIAL);
 
         let mut frontier = 0usize;
@@ -170,14 +170,15 @@ impl ArAutomaton {
                 let next = if decided {
                     node // sinks self-loop
                 } else {
-                    progress(&mut store, node, valuation as Valuation)
+                    memo.clear();
+                    progress_with(&mut store, node, valuation as Valuation, &mut memo)
                 };
-                let next_state = get_state(next, &mut nodes, &mut verdicts, &mut state_of);
-                transitions.push(next_state);
+                transitions.push(get_state(next, &mut nodes, &mut state_of));
             }
             frontier += 1;
         }
 
+        let sink = |node| state_of.get(&node).copied().unwrap_or(NO_SINK);
         let stats = SynthesisStats {
             states: nodes.len(),
             transitions: transitions.len(),
@@ -186,8 +187,9 @@ impl ArAutomaton {
         Ok(ArAutomaton {
             props: store.props().to_vec(),
             transitions,
-            verdicts,
             columns,
+            accept: sink(IlStore::TRUE),
+            reject: sink(IlStore::FALSE),
             stats,
         })
     }
@@ -199,7 +201,7 @@ impl ArAutomaton {
 
     /// Returns the number of states.
     pub fn state_count(&self) -> usize {
-        self.verdicts.len()
+        self.stats.states
     }
 
     /// Returns synthesis statistics.
@@ -212,10 +214,11 @@ impl ArAutomaton {
         self.columns
     }
 
-    /// The raw dense transition table, `state * columns + valuation`
-    /// (compiled-kernel lowering reads it verbatim).
-    pub(crate) fn transitions_raw(&self) -> &[u32] {
-        &self.transitions
+    /// One transition without [`ArAutomaton::step`]'s valuation check: the
+    /// compiled kernel's hot path, whose callers keep `v < columns`.
+    #[inline(always)]
+    pub(crate) fn next(&self, state: u32, v: usize) -> u32 {
+        self.transitions[state as usize * self.columns + v]
     }
 
     /// Performs one transition.
@@ -227,12 +230,25 @@ impl ArAutomaton {
     pub fn step(&self, state: u32, valuation: Valuation) -> u32 {
         let v = valuation as usize;
         assert!(v < self.columns, "valuation has unknown proposition bits");
-        self.transitions[state as usize * self.columns + v]
+        self.next(state, v)
     }
 
     /// Returns the verdict attached to a state.
+    #[inline(always)]
     pub fn verdict(&self, state: u32) -> Verdict {
-        self.verdicts[state as usize]
+        if state == self.accept {
+            Verdict::True
+        } else if state == self.reject {
+            Verdict::False
+        } else {
+            Verdict::Pending
+        }
+    }
+
+    /// Whether `state` is one of the two sinks.
+    #[inline(always)]
+    pub(crate) fn is_decided(&self, state: u32) -> bool {
+        state == self.accept || state == self.reject
     }
 }
 

@@ -11,13 +11,12 @@
 //! The cache key is the **canonical IL form** of the formula: formulas are
 //! interned into the hash-consed [`IlStore`] and rendered from the root
 //! node, so spelling variants that normalise to the same IL node (e.g.
-//! `eventually! p` and `F p`) share one automaton. Cached automata and
-//! their compiled kernels are immutable and handed out as [`Arc`]s;
-//! [`CompiledMonitor`] and [`TableMonitor`] instances step them without
-//! copying the tables.
+//! `eventually! p` and `F p`) share one automaton. Each key maps to one
+//! entry: the automaton and, once lowered, the [`CompiledKernel`] that
+//! shares it. Both are immutable and handed out as [`Arc`]s, so every
+//! [`CompiledMonitor`] of a formula steps the one table synthesis built.
 //!
 //! [`CompiledMonitor`]: crate::CompiledMonitor
-//! [`TableMonitor`]: crate::TableMonitor
 //!
 //! # Examples
 //!
@@ -33,7 +32,8 @@
 //! # Ok::<(), sctc_temporal::ParseError>(())
 //! ```
 
-use std::collections::HashMap;
+use std::collections::{hash_map, HashMap};
+use std::ops::Deref;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -108,10 +108,16 @@ impl CacheStats {
     }
 }
 
+/// One cached formula: its automaton and, once lowered, the kernel that
+/// shares it.
+struct Cached {
+    automaton: Arc<ArAutomaton>,
+    kernel: Option<Arc<CompiledKernel>>,
+}
+
 #[derive(Default)]
 struct Inner {
-    entries: HashMap<String, Arc<ArAutomaton>>,
-    compiled: HashMap<String, Arc<CompiledKernel>>,
+    entries: HashMap<String, Cached>,
     hits: u64,
     misses: u64,
     synthesis_wall: Duration,
@@ -120,7 +126,8 @@ struct Inner {
     compiled_build_wall: Duration,
 }
 
-/// A synthesis cache: canonical IL text → [`Arc`]-shared [`ArAutomaton`].
+/// A synthesis cache: canonical IL text → one [`Arc`]-shared
+/// [`ArAutomaton`] and, once lowered, its [`CompiledKernel`].
 ///
 /// Thread-safe. The lock is held across a miss's synthesis run, so
 /// concurrent registrations of the same formula synthesize it **exactly
@@ -152,6 +159,32 @@ impl SynthesisCache {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// The entry for `formula`'s canonical key, synthesizing its automaton
+    /// on a miss; the flag says whether this call synthesized it.
+    fn entry<'a>(
+        inner: &'a mut Inner,
+        key: String,
+        formula: &Formula,
+    ) -> Result<(&'a mut Cached, bool), SynthesisError> {
+        match inner.entries.entry(key) {
+            hash_map::Entry::Occupied(slot) => {
+                inner.hits += 1;
+                Ok((slot.into_mut(), false))
+            }
+            hash_map::Entry::Vacant(slot) => {
+                let t0 = Instant::now();
+                let automaton = Arc::new(ArAutomaton::synthesize(formula)?);
+                inner.synthesis_wall += t0.elapsed();
+                inner.misses += 1;
+                let cached = Cached {
+                    automaton,
+                    kernel: None,
+                };
+                Ok((slot.insert(cached), true))
+            }
+        }
+    }
+
     /// Returns the automaton for `formula`, synthesizing on first use.
     ///
     /// # Errors
@@ -159,61 +192,42 @@ impl SynthesisCache {
     /// See [`SynthesisError`]. Errors are not cached; a failing formula
     /// fails again (cheaply — the proposition check precedes enumeration).
     pub fn synthesize(&self, formula: &Formula) -> Result<Arc<ArAutomaton>, SynthesisError> {
-        let (store, root) = IlStore::from_formula(formula)?;
-        let key = store.render(root);
+        let key = canonical_key(formula)?;
         let mut inner = self.lock();
-        if let Some(cached) = inner.entries.get(&key).cloned() {
-            inner.hits += 1;
-            return Ok(cached);
-        }
-        let t0 = Instant::now();
-        let automaton = Arc::new(ArAutomaton::synthesize(formula)?);
-        inner.synthesis_wall += t0.elapsed();
-        inner.misses += 1;
-        inner.entries.insert(key, automaton.clone());
-        Ok(automaton)
+        let (entry, _) = Self::entry(&mut inner, key, formula)?;
+        Ok(entry.automaton.clone())
     }
 
-    /// Returns the compiled kernel for `formula`, synthesizing the source
+    /// Returns the compiled kernel for `formula`, synthesizing the
     /// automaton (through this cache, sharing its hit/miss counters) and
-    /// lowering it on first use. Campaigns, fault runs and SMC sampling
-    /// all funnel through here, so a whole campaign lowers each distinct
-    /// formula exactly once.
+    /// lowering it on first use. The kernel holds the same automaton
+    /// [`SynthesisCache::synthesize`] returns. Campaigns, fault runs and
+    /// SMC sampling all funnel through here, so a whole campaign lowers
+    /// each distinct formula exactly once.
     ///
     /// # Errors
     ///
     /// See [`SynthesisError`]. Errors are not cached.
-    pub fn synthesize_compiled(
-        &self,
-        formula: &Formula,
-    ) -> Result<Arc<CompiledKernel>, SynthesisError> {
-        let (store, root) = IlStore::from_formula(formula)?;
-        let key = store.render(root);
+    pub fn synthesize_compiled(&self, formula: &Formula) -> Result<CompiledLookup, SynthesisError> {
+        let key = canonical_key(formula)?;
         let mut inner = self.lock();
-        if let Some(cached) = inner.compiled.get(&key).cloned() {
+        if let Some(kernel) = inner.entries.get(&key).and_then(|e| e.kernel.clone()) {
             inner.compiled_hits += 1;
-            return Ok(cached);
+            return Ok(CompiledLookup {
+                kernel,
+                synthesized: false,
+            });
         }
-        let automaton = match inner.entries.get(&key).cloned() {
-            Some(automaton) => {
-                inner.hits += 1;
-                automaton
-            }
-            None => {
-                let t0 = Instant::now();
-                let automaton = Arc::new(ArAutomaton::synthesize(formula)?);
-                inner.synthesis_wall += t0.elapsed();
-                inner.misses += 1;
-                inner.entries.insert(key.clone(), automaton.clone());
-                automaton
-            }
-        };
+        let (entry, synthesized) = Self::entry(&mut inner, key, formula)?;
         let t0 = Instant::now();
-        let kernel = Arc::new(CompiledKernel::lower(&automaton));
+        let kernel = Arc::new(CompiledKernel::lower(entry.automaton.clone()));
+        entry.kernel = Some(kernel.clone());
         inner.compiled_build_wall += t0.elapsed();
         inner.compiled_misses += 1;
-        inner.compiled.insert(key, kernel.clone());
-        Ok(kernel)
+        Ok(CompiledLookup {
+            kernel,
+            synthesized,
+        })
     }
 
     /// Returns a snapshot of the counters.
@@ -233,6 +247,32 @@ impl SynthesisCache {
     /// Drops every entry and resets the counters.
     pub fn clear(&self) {
         *self.lock() = Inner::default();
+    }
+}
+
+/// The cache key: the formula's IL rendered from its root node.
+fn canonical_key(formula: &Formula) -> Result<String, SynthesisError> {
+    let (store, root) = IlStore::from_formula(formula)?;
+    Ok(store.render(root))
+}
+
+/// What [`SynthesisCache::synthesize_compiled`] returns: the shared kernel,
+/// and whether this lookup synthesized its automaton (a cache miss).
+/// Derefs to the kernel's [`Arc`].
+#[derive(Debug)]
+pub struct CompiledLookup {
+    /// The kernel, shared with every other lookup of the formula.
+    pub kernel: Arc<CompiledKernel>,
+    /// Whether this lookup ran synthesis; `false` when the automaton came
+    /// from the cache, even if the lookup lowered it.
+    pub synthesized: bool,
+}
+
+impl Deref for CompiledLookup {
+    type Target = Arc<CompiledKernel>;
+
+    fn deref(&self) -> &Arc<CompiledKernel> {
+        &self.kernel
     }
 }
 
@@ -672,6 +712,27 @@ mod tests {
         assert_eq!(stats.hits, 1, "the lowering hit the automaton entry");
         assert_eq!(stats.compiled_misses, 1);
         assert!(stats.compiled_build_wall > Duration::ZERO);
+    }
+
+    #[test]
+    fn a_formula_has_one_table() {
+        let cache = SynthesisCache::new();
+        // Lowered first: the lookup synthesized the automaton that a later
+        // `synthesize` hands out.
+        let f = parse("G (a -> F[<=50] b)").unwrap();
+        let lookup = cache.synthesize_compiled(&f).unwrap();
+        assert!(lookup.synthesized);
+        let automaton = cache.synthesize(&f).unwrap();
+        assert!(Arc::ptr_eq(lookup.automaton(), &automaton));
+        // Synthesized first: the lowering shares the cached automaton.
+        let g = parse("F[<=25] p").unwrap();
+        let automaton = cache.synthesize(&g).unwrap();
+        let lookup = cache.synthesize_compiled(&g).unwrap();
+        assert!(!lookup.synthesized, "the automaton came from the cache");
+        assert!(Arc::ptr_eq(lookup.automaton(), &automaton));
+        let again = cache.synthesize_compiled(&g).unwrap();
+        assert!(!again.synthesized);
+        assert!(Arc::ptr_eq(&again.kernel, &lookup.kernel));
     }
 
     impl CacheWeight for Vec<u8> {

@@ -1,13 +1,12 @@
 //! Compiled AR kernels: the raw-speed stepping tier.
 //!
-//! [`ArAutomaton`] already stores a dense transition table, but stepping it
-//! pays a `Verdict` enum load per step, and a stutter run of `n` identical
-//! valuations would take `n` steps. [`CompiledKernel::lower`] precomputes
-//! what those runs derive, once, at synthesis time:
+//! A [`CompiledKernel`] steps the [`ArAutomaton`] it was lowered from
+//! through that automaton's own jump table, shared behind an [`Arc`]: the
+//! state numbering (and therefore every witness state path) is the
+//! automaton's, and no table is copied. A stutter run of `n` identical
+//! valuations would still take `n` steps, so [`CompiledKernel::lower`]
+//! adds what those runs derive, once, at synthesis time:
 //!
-//! * **jump array** — `next[state * columns + valuation]`, copied verbatim
-//!   from the automaton so state numbering (and therefore witness state
-//!   paths) stays identical;
 //! * **run table** — for every `(state, valuation)` cell, the 1-based offset
 //!   of the first step at which a fixed-valuation run reaches a decided
 //!   sink, packed with the sink's polarity into one `u32`. A stutter flush
@@ -18,15 +17,15 @@
 //!   `columns.div_ceil(64)` packed words per state.
 //!
 //! [`CompiledMonitor`] steps the kernel with no enum loads on the hot path:
-//! decidedness is two integer compares against the (at most two) sink state
-//! ids, and [`CompiledMonitor::step_run`] flushes an `n`-step stutter run
-//! without per-sample branching.
+//! decidedness is two integer compares against the automaton's (at most
+//! two) sink state ids, and [`CompiledMonitor::step_run`] flushes an
+//! `n`-step stutter run without per-sample branching.
 
 use std::fmt;
 use std::sync::Arc;
 
 use crate::ast::Formula;
-use crate::automaton::{ArAutomaton, SynthesisError, SynthesisStats};
+use crate::automaton::{ArAutomaton, SynthesisError, NO_SINK};
 use crate::monitor::TraceMonitor;
 use crate::progress::Valuation;
 use crate::verdict::Verdict;
@@ -37,56 +36,37 @@ const OFFSET_MASK: u32 = 0x7FFF_FFFF;
 const NEVER: u32 = OFFSET_MASK;
 /// Top bit of a run-table cell: the sink reached is the accept sink.
 const ACCEPT_BIT: u32 = 1 << 31;
-/// Sink-id sentinel for automata without an accept (or reject) sink.
-const NO_SINK: u32 = u32::MAX;
 
-/// An [`ArAutomaton`] lowered into dense jump + run tables.
+/// An [`ArAutomaton`] with its stutter tables: the automaton's own jump
+/// table plus a run table and self-loop words.
 ///
 /// Immutable after lowering; shared behind an [`Arc`] through the
-/// [`SynthesisCache`](crate::SynthesisCache) exactly like the automaton it
-/// was lowered from.
+/// [`SynthesisCache`](crate::SynthesisCache), which keeps it in the same
+/// entry as the automaton it was lowered from.
 pub struct CompiledKernel {
-    props: Vec<String>,
-    columns: usize,
-    states: u32,
-    /// `next[state * columns + valuation]` — same layout and numbering as
-    /// [`ArAutomaton`]'s transition table.
-    next: Vec<u32>,
-    /// State id of the accept sink ([`NO_SINK`] if unreachable).
-    accept_state: u32,
-    /// State id of the reject sink ([`NO_SINK`] if unreachable).
-    reject_state: u32,
-    /// Packed run cells, one per `next` entry (see module docs).
+    automaton: Arc<ArAutomaton>,
+    /// Packed run cells, one per transition (see module docs).
     run: Vec<u32>,
     /// Self-loop bitset: `words_per_state` words per state, bit `v % 64` of
     /// word `v / 64` set iff `next[s][v] == s`.
     self_loop: Vec<u64>,
     words_per_state: usize,
-    stats: SynthesisStats,
 }
 
 impl CompiledKernel {
-    /// Lowers a synthesized automaton into a compiled kernel.
-    pub fn lower(automaton: &ArAutomaton) -> Self {
+    /// Lowers a synthesized automaton into a compiled kernel that shares
+    /// it (an owned automaton is moved into a fresh [`Arc`]).
+    pub fn lower(automaton: impl Into<Arc<ArAutomaton>>) -> Self {
+        let automaton = automaton.into();
         let columns = automaton.columns();
         let states = automaton.state_count();
-        let next = automaton.transitions_raw().to_vec();
-
-        let mut accept_state = NO_SINK;
-        let mut reject_state = NO_SINK;
-        for s in 0..states {
-            match automaton.verdict(s as u32) {
-                Verdict::True => accept_state = s as u32,
-                Verdict::False => reject_state = s as u32,
-                Verdict::Pending => {}
-            }
-        }
+        let next = |s: u32, v: usize| automaton.next(s, v);
 
         let words_per_state = columns.div_ceil(64);
         let mut self_loop = vec![0u64; states * words_per_state];
         for s in 0..states {
             for v in 0..columns {
-                if next[s * columns + v] == s as u32 {
+                if next(s as u32, v) == s as u32 {
                     self_loop[s * words_per_state + v / 64] |= 1 << (v % 64);
                 }
             }
@@ -96,7 +76,8 @@ impl CompiledKernel {
         // `s -> next[s][v]`. Undecided cycles (including undecided
         // self-loops) never decide; everything upstream of a sink gets the
         // exact offset plus the sink's polarity.
-        let mut run = vec![0u32; next.len()];
+        let (accept_state, reject_state) = (automaton.accept, automaton.reject);
+        let mut run = vec![0u32; states * columns];
         let mut path: Vec<u32> = Vec::new();
         // 0 = unknown, 1 = on the current path, 2 = resolved.
         let mut mark = vec![0u8; states];
@@ -125,7 +106,7 @@ impl CompiledKernel {
                     }
                     mark[cur as usize] = 1;
                     path.push(cur);
-                    cur = next[cur as usize * columns + v];
+                    cur = next(cur, v);
                 };
                 if base == NEVER {
                     flag = 0;
@@ -147,32 +128,17 @@ impl CompiledKernel {
         }
 
         CompiledKernel {
-            props: automaton.props().to_vec(),
-            columns,
-            states: states as u32,
-            next,
-            accept_state,
-            reject_state,
+            automaton,
             run,
             self_loop,
             words_per_state,
-            stats: automaton.stats(),
         }
     }
 
-    /// Returns the proposition names in valuation-bit order.
-    pub fn props(&self) -> &[String] {
-        &self.props
-    }
-
-    /// Number of automaton states the kernel was lowered from.
-    pub fn state_count(&self) -> usize {
-        self.states as usize
-    }
-
-    /// Synthesis statistics of the underlying automaton.
-    pub fn stats(&self) -> SynthesisStats {
-        self.stats
+    /// The automaton this kernel steps: the same [`Arc`] the
+    /// [`SynthesisCache`](crate::SynthesisCache) hands out for its formula.
+    pub fn automaton(&self) -> &Arc<ArAutomaton> {
+        &self.automaton
     }
 
     #[inline(always)]
@@ -180,28 +146,12 @@ impl CompiledKernel {
         self.self_loop[state as usize * self.words_per_state + v / 64] >> (v % 64) & 1 != 0
     }
 
-    #[inline(always)]
-    fn verdict_of(&self, state: u32) -> Verdict {
-        if state == self.accept_state {
-            Verdict::True
-        } else if state == self.reject_state {
-            Verdict::False
-        } else {
-            Verdict::Pending
-        }
-    }
-
-    #[inline(always)]
-    fn is_decided(&self, state: u32) -> bool {
-        state == self.accept_state || state == self.reject_state
-    }
-
     /// State after `n` steps of a run known never to decide. Walks the
     /// jump array directly; if `n` exceeds the state count the run is
     /// provably inside a cycle, whose length closes the remainder.
     fn advance_undecided(&self, start: u32, v: usize, n: u64) -> u32 {
-        let f = |s: u32| self.next[s as usize * self.columns + v];
-        let states = self.states as u64;
+        let f = |s: u32| self.automaton.next(s, v);
+        let states = self.automaton.state_count() as u64;
         let mut s = start;
         let bounded = n.min(states);
         for _ in 0..bounded {
@@ -233,8 +183,8 @@ impl CompiledKernel {
 impl fmt::Debug for CompiledKernel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CompiledKernel")
-            .field("states", &self.states)
-            .field("columns", &self.columns)
+            .field("states", &self.automaton.state_count())
+            .field("columns", &self.automaton.columns())
             .field("words_per_state", &self.words_per_state)
             .finish()
     }
@@ -242,9 +192,10 @@ impl fmt::Debug for CompiledKernel {
 
 /// A monitor stepping a [`CompiledKernel`].
 ///
-/// Behaviourally identical to [`TableMonitor`](crate::TableMonitor) — same
-/// state numbering, verdicts, step counts and decision indices — but with
-/// the stutter flush compiled down to one run-table lookup.
+/// [`TraceMonitor::step`] is one lookup in the automaton's jump table, with
+/// the automaton's state numbering, verdicts and decision indices;
+/// [`CompiledMonitor::step_run`] flushes a stutter run of any length with
+/// one run-table lookup.
 #[derive(Clone, Debug)]
 pub struct CompiledMonitor {
     kernel: Arc<CompiledKernel>,
@@ -263,7 +214,7 @@ impl CompiledMonitor {
     pub fn new(formula: &Formula) -> Result<Self, SynthesisError> {
         let automaton = ArAutomaton::synthesize(formula)?;
         Ok(Self::from_shared(Arc::new(CompiledKernel::lower(
-            &automaton,
+            automaton,
         ))))
     }
 
@@ -275,11 +226,6 @@ impl CompiledMonitor {
             steps: 0,
             decided_at: None,
         }
-    }
-
-    /// Returns the underlying kernel.
-    pub fn kernel(&self) -> &CompiledKernel {
-        &self.kernel
     }
 
     /// The current state id (identical numbering to the source automaton,
@@ -298,12 +244,13 @@ impl CompiledMonitor {
     /// that exactly: a run that decides at offset `d <= n` advances the
     /// step count by `d`, not `n`.
     pub fn step_run(&mut self, valuation: Valuation, n: u64) -> Verdict {
+        let automaton = &*self.kernel.automaton;
         let v = valuation as usize;
-        debug_assert!(v < self.kernel.columns, "valuation has unknown bits");
-        if n == 0 || self.kernel.is_decided(self.state) {
-            return self.kernel.verdict_of(self.state);
+        debug_assert!(v < automaton.columns(), "valuation has unknown bits");
+        if n == 0 || automaton.is_decided(self.state) {
+            return automaton.verdict(self.state);
         }
-        let cell = self.kernel.run[self.state as usize * self.kernel.columns + v];
+        let cell = self.kernel.run[self.state as usize * automaton.columns() + v];
         let offset = cell & OFFSET_MASK;
         if offset == NEVER {
             // The run never decides; the dominant case is an undecided
@@ -317,9 +264,9 @@ impl CompiledMonitor {
         let d = u64::from(offset);
         if d <= n {
             self.state = if cell & ACCEPT_BIT != 0 {
-                self.kernel.accept_state
+                automaton.accept
             } else {
-                self.kernel.reject_state
+                automaton.reject
             };
             self.steps += d;
             self.decided_at = Some(self.steps);
@@ -327,12 +274,12 @@ impl CompiledMonitor {
             // n < d <= states: a short walk down the (sink-bound) chain.
             let mut s = self.state;
             for _ in 0..n {
-                s = self.kernel.next[s as usize * self.kernel.columns + v];
+                s = automaton.next(s, v);
             }
             self.state = s;
             self.steps += n;
         }
-        self.kernel.verdict_of(self.state)
+        automaton.verdict(self.state)
     }
 
     /// Resets to the initial state (lowering is paid once, reuse is free).
@@ -346,11 +293,12 @@ impl CompiledMonitor {
 impl TraceMonitor for CompiledMonitor {
     #[inline]
     fn step(&mut self, valuation: Valuation) -> Verdict {
+        let automaton = &*self.kernel.automaton;
         let v = valuation as usize;
-        debug_assert!(v < self.kernel.columns, "valuation has unknown bits");
-        self.state = self.kernel.next[self.state as usize * self.kernel.columns + v];
+        debug_assert!(v < automaton.columns(), "valuation has unknown bits");
+        self.state = automaton.next(self.state, v);
         self.steps += 1;
-        let verdict = self.kernel.verdict_of(self.state);
+        let verdict = automaton.verdict(self.state);
         if verdict.is_decided() && self.decided_at.is_none() {
             self.decided_at = Some(self.steps);
         }
@@ -358,7 +306,7 @@ impl TraceMonitor for CompiledMonitor {
     }
 
     fn verdict(&self) -> Verdict {
-        self.kernel.verdict_of(self.state)
+        self.kernel.automaton.verdict(self.state)
     }
 
     fn steps(&self) -> u64 {
@@ -370,7 +318,7 @@ impl TraceMonitor for CompiledMonitor {
     }
 
     fn props(&self) -> &[String] {
-        self.kernel.props()
+        self.kernel.automaton.props()
     }
 
     fn reset(&mut self) {
@@ -381,18 +329,16 @@ impl TraceMonitor for CompiledMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::monitor::TableMonitor;
+    use crate::monitor::Monitor;
     use crate::parser::parse;
 
-    fn kernel_for(text: &str) -> (ArAutomaton, CompiledKernel) {
-        let f = parse(text).unwrap();
-        let automaton = ArAutomaton::synthesize(&f).unwrap();
-        let kernel = CompiledKernel::lower(&automaton);
-        (automaton, kernel)
+    fn kernel_for(text: &str) -> Arc<CompiledKernel> {
+        let automaton = ArAutomaton::synthesize(&parse(text).unwrap()).unwrap();
+        Arc::new(CompiledKernel::lower(automaton))
     }
 
     #[test]
-    fn compiled_steps_match_table_steps_exactly() {
+    fn compiled_steps_match_the_automaton_and_progression() {
         for text in [
             "G (a -> F[<=7] b)",
             "F[<=9] p",
@@ -401,17 +347,27 @@ mod tests {
             "true",
             "!p",
         ] {
-            let f = parse(text).unwrap();
-            let mut table = TableMonitor::new(&f).unwrap();
-            let mut compiled = CompiledMonitor::new(&f).unwrap();
-            assert_eq!(table.props(), compiled.props());
-            let columns = 1u64 << table.props().len();
+            let kernel = kernel_for(text);
+            let automaton = kernel.automaton().clone();
+            let mut compiled = CompiledMonitor::from_shared(kernel);
+            let mut lazy = Monitor::new(&parse(text).unwrap()).unwrap();
+            assert_eq!(lazy.props(), compiled.props());
+            // A constant formula starts in a sink: the table monitor counts
+            // its first step as the decision, progression counts none.
+            let starts_decided = automaton.verdict(ArAutomaton::INITIAL).is_decided();
+            let columns = automaton.columns() as u64;
+            let mut state = ArAutomaton::INITIAL;
             let mut v = 1u64;
             for i in 0..200u64 {
                 v = (v.wrapping_mul(6364136223846793005).wrapping_add(i)) % columns;
-                assert_eq!(table.step(v), compiled.step(v), "{text} step {i}");
-                assert_eq!(table.state(), compiled.state(), "{text} step {i}");
-                assert_eq!(table.decided_at(), compiled.decided_at(), "{text}");
+                state = automaton.step(state, v);
+                let verdict = compiled.step(v);
+                assert_eq!(compiled.state(), state, "{text} step {i}");
+                assert_eq!(verdict, automaton.verdict(state), "{text} step {i}");
+                assert_eq!(verdict, lazy.step(v), "{text} step {i}");
+                if !starts_decided {
+                    assert_eq!(compiled.decided_at(), lazy.decided_at(), "{text}");
+                }
             }
         }
     }
@@ -443,9 +399,9 @@ mod tests {
             "G[<=6] (a | b)",
             "(a U[<=5] b) & G (b -> F[<=3] a)",
         ] {
-            let (automaton, kernel) = kernel_for(text);
-            let kernel = Arc::new(kernel);
-            let columns = 1u64 << automaton.props().len();
+            let kernel = kernel_for(text);
+            let automaton = kernel.automaton().clone();
+            let columns = automaton.columns() as u64;
             for state in 0..automaton.state_count() as u32 {
                 for v in 0..columns {
                     for n in [0u64, 1, 2, 3, 5, 8, 13, 100, 10_000] {
@@ -470,24 +426,28 @@ mod tests {
     #[test]
     fn wide_formula_uses_packed_word_fallback() {
         // 7 atoms → 128 columns → 2 self-loop words per state.
-        let text = "F[<=3] (p0 | p1 | p2 | p3 | p4 | p5 | p6)";
-        let f = parse(text).unwrap();
-        let compiled = CompiledMonitor::new(&f).unwrap();
-        assert_eq!(compiled.kernel().words_per_state, 2);
-        let mut table = TableMonitor::new(&f).unwrap();
-        let mut wide = CompiledMonitor::new(&f).unwrap();
+        let kernel = kernel_for("F[<=3] (p0 | p1 | p2 | p3 | p4 | p5 | p6)");
+        assert_eq!(kernel.words_per_state, 2);
+        let automaton = kernel.automaton().clone();
+        let mut wide = CompiledMonitor::from_shared(kernel);
+        let (mut state, mut steps, mut decided_at) = (ArAutomaton::INITIAL, 0, None);
         // Idle run exercises high-column self-loop bits (valuation 127 is
         // in the second packed word).
         for v in [0u64, 127, 64, 65, 0] {
-            for _ in 0..3 {
-                if !table.verdict().is_decided() {
-                    table.step(v);
-                }
+            let (next, taken, decided) = repeated_steps(&automaton, state, v, 3);
+            (state, steps) = (next, steps + taken);
+            if decided.is_some() {
+                decided_at = Some(steps);
             }
-            assert_eq!(table.verdict(), wide.step_run(v, 3));
-            assert_eq!(table.state(), wide.state());
+            assert_eq!(wide.step_run(v, 3), automaton.verdict(state));
+            assert_eq!(wide.state(), state);
         }
-        assert_eq!(table.decided_at(), wide.decided_at());
+        assert_eq!(wide.decided_at(), decided_at);
+        assert_eq!(
+            decided_at,
+            Some(4),
+            "the disjunction holds at the bound's last step"
+        );
     }
 
     #[test]

@@ -11,9 +11,14 @@
 //! * [`parse`] accepts FLTL (`G`, `F[<=b]`, `X`, `U`, `R`) and PSL-flavoured
 //!   spellings (`always`, `eventually!`, `next`, `until!`, `never`).
 //! * [`IlStore`] is the hash-consed Intermediate Language.
-//! * [`ArAutomaton`] is the explicit 3-valued automaton; [`Monitor`] the lazy
-//!   progression engine. Both deliver [`Verdict::True`], [`Verdict::False`]
-//!   or [`Verdict::Pending`] on finite traces.
+//! * [`ArAutomaton`] is the explicit 3-valued automaton, the one table of a
+//!   property: [`CompiledMonitor`] steps it through a [`CompiledKernel`]
+//!   that shares it, and [`SynthesisCache`] keeps one of each per formula.
+//! * [`Monitor`] is the lazy progression engine, the fallback for formulas
+//!   synthesis refuses.
+//!
+//! All monitors deliver [`Verdict::True`], [`Verdict::False`] or
+//! [`Verdict::Pending`] on finite traces.
 //!
 //! ## Example
 //!
@@ -44,20 +49,18 @@ pub mod lexer;
 mod monitor;
 mod parser;
 mod progress;
-mod rewrite;
 mod verdict;
 
 pub use ast::{Formula, TimeBound};
 pub use automaton::{ArAutomaton, SynthesisError, SynthesisStats};
 pub use cache::{
-    fnv1a64, CacheStats, CacheWeight, FlightHandle, Lookup, ResultCache, ResultCacheStats,
-    SynthesisCache, WaitOutcome,
+    fnv1a64, CacheStats, CacheWeight, CompiledLookup, FlightHandle, Lookup, ResultCache,
+    ResultCacheStats, SynthesisCache, WaitOutcome,
 };
 pub use compiled::{CompiledKernel, CompiledMonitor};
 pub use eval::{eval, eval_at};
 pub use il::{IlError, IlStore, NodeId};
-pub use monitor::{Monitor, TableMonitor, TraceMonitor};
+pub use monitor::{Monitor, TraceMonitor};
 pub use parser::{parse, ParseError};
-pub use progress::{progress, progress_with, valuation_from_bools, Valuation};
-pub use rewrite::{simplify, to_nnf};
+pub use progress::{progress_with, valuation_from_bools, Valuation};
 pub use verdict::Verdict;

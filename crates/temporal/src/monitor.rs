@@ -2,22 +2,19 @@
 //!
 //! Two monitors share the [`TraceMonitor`] interface:
 //!
-//! * [`Monitor`] progresses the IL formula lazily — no synthesis cost, state
-//!   grows on demand; the checker falls back to it for formulas synthesis
-//!   refuses;
-//! * [`TableMonitor`] steps an explicitly synthesized [`ArAutomaton`] — all
-//!   cost paid at generation time, O(1) steps.
+//! * [`Monitor`] (here) progresses the IL formula lazily — no synthesis
+//!   cost, state grows on demand; the checker falls back to it for
+//!   formulas synthesis refuses;
+//! * [`CompiledMonitor`](crate::CompiledMonitor) steps an explicitly
+//!   synthesized [`ArAutomaton`](crate::ArAutomaton) — all cost paid at
+//!   generation time, O(1) steps.
 //!
 //! Both latch their verdict: once decided, further steps cannot change it.
-//! The change-driven checker steps the compiled form of the automaton,
-//! [`CompiledMonitor`](crate::CompiledMonitor).
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
 use crate::ast::Formula;
-use crate::automaton::{ArAutomaton, SynthesisError};
 use crate::il::{IlError, IlStore, NodeId};
 use crate::progress::{progress_with, Valuation};
 use crate::verdict::Verdict;
@@ -168,100 +165,10 @@ impl fmt::Debug for Monitor {
     }
 }
 
-/// A table-driven monitor over a synthesized [`ArAutomaton`].
-///
-/// The automaton is held behind an [`Arc`]: monitors built from the same
-/// cached automaton (see [`SynthesisCache`](crate::SynthesisCache)) share
-/// one immutable transition table, so cloning a monitor or fanning a
-/// property out across campaign shards never copies the table.
-#[derive(Clone, Debug)]
-pub struct TableMonitor {
-    automaton: Arc<ArAutomaton>,
-    state: u32,
-    steps: u64,
-    decided_at: Option<u64>,
-}
-
-impl TableMonitor {
-    /// Synthesizes the automaton and wraps it in a monitor.
-    ///
-    /// # Errors
-    ///
-    /// See [`SynthesisError`].
-    pub fn new(formula: &Formula) -> Result<Self, SynthesisError> {
-        Ok(Self::from_automaton(ArAutomaton::synthesize(formula)?))
-    }
-
-    /// Wraps an already synthesized automaton.
-    pub fn from_automaton(automaton: ArAutomaton) -> Self {
-        Self::from_shared(Arc::new(automaton))
-    }
-
-    /// Wraps a shared (typically cache-resident) automaton.
-    pub fn from_shared(automaton: Arc<ArAutomaton>) -> Self {
-        TableMonitor {
-            automaton,
-            state: ArAutomaton::INITIAL,
-            steps: 0,
-            decided_at: None,
-        }
-    }
-
-    /// Returns the underlying automaton.
-    pub fn automaton(&self) -> &ArAutomaton {
-        &self.automaton
-    }
-
-    /// The current AR-automaton state id — exposed so the diagnosis
-    /// layer can record the state path a counterexample walked.
-    pub fn state(&self) -> u32 {
-        self.state
-    }
-
-    /// Resets the monitor to the initial state (the automaton is reusable
-    /// across test cases — synthesis is paid once).
-    pub fn reset(&mut self) {
-        self.state = ArAutomaton::INITIAL;
-        self.steps = 0;
-        self.decided_at = None;
-    }
-}
-
-impl TraceMonitor for TableMonitor {
-    fn step(&mut self, valuation: Valuation) -> Verdict {
-        self.state = self.automaton.step(self.state, valuation);
-        self.steps += 1;
-        let v = self.automaton.verdict(self.state);
-        if v.is_decided() && self.decided_at.is_none() {
-            self.decided_at = Some(self.steps);
-        }
-        v
-    }
-
-    fn verdict(&self) -> Verdict {
-        self.automaton.verdict(self.state)
-    }
-
-    fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    fn decided_at(&self) -> Option<u64> {
-        self.decided_at
-    }
-
-    fn props(&self) -> &[String] {
-        self.automaton.props()
-    }
-
-    fn reset(&mut self) {
-        TableMonitor::reset(self);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compiled::CompiledMonitor;
     use crate::parser::parse;
     use crate::progress::valuation_from_bools;
 
@@ -280,26 +187,14 @@ mod tests {
     fn lazy_and_table_monitors_agree_step_by_step() {
         let f = parse("G (a -> F[<=4] b)").unwrap();
         let mut lazy = Monitor::new(&f).unwrap();
-        let mut table = TableMonitor::new(&f).unwrap();
+        let mut table = CompiledMonitor::new(&f).unwrap();
         assert_eq!(lazy.props(), table.props());
         let trace: Vec<u64> = vec![0b01, 0b00, 0b00, 0b10, 0b01, 0b00, 0b00, 0b00, 0b00];
         for &v in &trace {
             assert_eq!(lazy.step(v), table.step(v));
         }
         assert_eq!(lazy.verdict(), Verdict::False);
-    }
-
-    #[test]
-    fn table_monitor_reset_reuses_synthesis() {
-        let f = parse("F[<=2] p").unwrap();
-        let mut m = TableMonitor::new(&f).unwrap();
-        assert_eq!(m.step(0b1), Verdict::True);
-        m.reset();
-        assert_eq!(m.verdict(), Verdict::Pending);
-        assert_eq!(m.step(0b0), Verdict::Pending);
-        assert_eq!(m.step(0b0), Verdict::Pending);
-        assert_eq!(m.step(0b0), Verdict::False);
-        assert_eq!(m.decided_at(), Some(3));
+        assert_eq!(lazy.decided_at(), table.decided_at());
     }
 
     #[test]

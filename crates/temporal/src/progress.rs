@@ -1,6 +1,6 @@
 //! Formula progression: the transition function of AR-automata.
 //!
-//! `progress(f, v)` rewrites a formula after observing one step with
+//! [`progress_with`] rewrites a formula after observing one step with
 //! proposition valuation `v`; the residual formula characterises what must
 //! hold of the remaining trace. Reaching the constant `true` (`false`) node
 //! is exactly the AR-automaton's accept (reject) verdict.
@@ -28,25 +28,12 @@ pub type Valuation = u64;
 /// prog(f U[b] g)   = prog(g) | (prog(f) & f U[b-1] g)
 /// prog(f R[b] g)   = prog(g) & (prog(f) | f R[b-1] g)
 /// ```
-pub fn progress(store: &mut IlStore, id: NodeId, v: Valuation) -> NodeId {
-    let mut memo = HashMap::new();
-    progress_memo(store, id, v, &mut memo)
-}
-
-/// Like [`progress`], but reuses a caller-owned memo table so per-step
-/// monitors avoid one heap allocation per progression. The memo is only
-/// valid for a single `(root, valuation)` rewrite; the caller must `clear`
-/// it between calls (capacity is retained).
+///
+/// `memo` maps the subterms already progressed under `v`, so a shared
+/// subterm of the DAG is rewritten once. It is only valid for a single
+/// `(id, v)` rewrite: the caller clears it between calls, and reusing one
+/// map keeps its capacity instead of allocating a fresh one per step.
 pub fn progress_with(
-    store: &mut IlStore,
-    id: NodeId,
-    v: Valuation,
-    memo: &mut HashMap<NodeId, NodeId>,
-) -> NodeId {
-    progress_memo(store, id, v, memo)
-}
-
-fn progress_memo(
     store: &mut IlStore,
     id: NodeId,
     v: Valuation,
@@ -66,14 +53,14 @@ fn progress_memo(
             }
         }
         Node::Not(f) => {
-            let pf = progress_memo(store, f, v, memo);
+            let pf = progress_with(store, f, v, memo);
             store.mk_not(pf)
         }
         Node::And(args) => {
             let operands: Vec<NodeId> = store.args(args).to_vec();
             let progressed: Vec<NodeId> = operands
                 .into_iter()
-                .map(|op| progress_memo(store, op, v, memo))
+                .map(|op| progress_with(store, op, v, memo))
                 .collect();
             store.mk_and_n(progressed)
         }
@@ -81,13 +68,13 @@ fn progress_memo(
             let operands: Vec<NodeId> = store.args(args).to_vec();
             let progressed: Vec<NodeId> = operands
                 .into_iter()
-                .map(|op| progress_memo(store, op, v, memo))
+                .map(|op| progress_with(store, op, v, memo))
                 .collect();
             store.mk_or_n(progressed)
         }
         Node::Next(f) => f,
         Node::Finally(bound, f) => {
-            let pf = progress_memo(store, f, v, memo);
+            let pf = progress_with(store, f, v, memo);
             let cont = match bound {
                 None => store.mk_finally(None, f),
                 Some(0) => IlStore::FALSE,
@@ -96,7 +83,7 @@ fn progress_memo(
             store.mk_or(pf, cont)
         }
         Node::Globally(bound, f) => {
-            let pf = progress_memo(store, f, v, memo);
+            let pf = progress_with(store, f, v, memo);
             let cont = match bound {
                 None => store.mk_globally(None, f),
                 Some(0) => IlStore::TRUE,
@@ -105,8 +92,8 @@ fn progress_memo(
             store.mk_and(pf, cont)
         }
         Node::Until(bound, f, g) => {
-            let pg = progress_memo(store, g, v, memo);
-            let pf = progress_memo(store, f, v, memo);
+            let pg = progress_with(store, g, v, memo);
+            let pf = progress_with(store, f, v, memo);
             let cont = match bound {
                 None => store.mk_until(None, f, g),
                 Some(0) => IlStore::FALSE,
@@ -116,8 +103,8 @@ fn progress_memo(
             store.mk_or(pg, hold)
         }
         Node::Release(bound, f, g) => {
-            let pg = progress_memo(store, g, v, memo);
-            let pf = progress_memo(store, f, v, memo);
+            let pg = progress_with(store, g, v, memo);
+            let pf = progress_with(store, f, v, memo);
             let cont = match bound {
                 None => store.mk_release(None, f, g),
                 Some(0) => IlStore::TRUE,
@@ -153,8 +140,10 @@ mod tests {
     fn prog_chain(text: &str, steps: &[&[bool]]) -> NodeId {
         let f = parse(text).unwrap();
         let (mut store, mut node) = IlStore::from_formula(&f).unwrap();
+        let mut memo = HashMap::new();
         for step in steps {
-            node = progress(&mut store, node, valuation_from_bools(step));
+            memo.clear();
+            node = progress_with(&mut store, node, valuation_from_bools(step), &mut memo);
         }
         node
     }
@@ -258,9 +247,11 @@ mod tests {
         // never blow up the store.
         let f = parse("F[<=100] p").unwrap();
         let (mut store, mut node) = IlStore::from_formula(&f).unwrap();
+        let mut memo = HashMap::new();
         // The bound covers steps 0..=100, so 101 steps decide the formula.
         for _ in 0..101 {
-            node = progress(&mut store, node, 0);
+            memo.clear();
+            node = progress_with(&mut store, node, 0, &mut memo);
         }
         assert_eq!(node, IlStore::FALSE);
         assert!(store.node_count() < 300);

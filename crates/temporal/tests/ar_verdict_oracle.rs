@@ -9,7 +9,11 @@
 //! what the semantics says about that trace. Formulas go up to depth 4 with
 //! time bounds up to 16 (larger than the other suite exercises).
 
-use sctc_temporal::{ArAutomaton, Formula, Monitor, TableMonitor, TraceMonitor, Verdict};
+use std::sync::Arc;
+
+use sctc_temporal::{
+    ArAutomaton, CompiledKernel, CompiledMonitor, Formula, Monitor, TraceMonitor, Verdict,
+};
 use testkit::{assume, Checker, Source};
 
 const NPROPS: usize = 3;
@@ -124,7 +128,7 @@ fn gen_case(src: &mut Source<'_>) -> (Formula, Vec<u64>) {
     (f, trace)
 }
 
-/// The table monitor built from the synthesized AR-automaton decides every
+/// The compiled monitor over the synthesized AR-automaton decides every
 /// bounded formula within its horizon, and the decision agrees with the
 /// independent brute-force semantics.
 #[test]
@@ -147,7 +151,8 @@ fn ar_automaton_verdict_matches_brute_force() {
                 }
             };
             let props = f.propositions();
-            let mut monitor = TableMonitor::from_automaton(automaton);
+            let mut monitor =
+                CompiledMonitor::from_shared(Arc::new(CompiledKernel::lower(automaton)));
             let mut verdict = Verdict::Pending;
             for &raw in trace {
                 verdict = monitor.step(remap(&props, raw));

@@ -21,7 +21,7 @@ use esw_verify::campaign::FlowKind;
 use esw_verify::faults::scenario::{run_scenario_observed, ScenarioObs};
 use esw_verify::faults::{intact_property, EswProgram};
 use esw_verify::sctc::{esw, EngineKind, Proposition, Sctc, VcdValue, Witness, WitnessConfig};
-use esw_verify::temporal::{Formula, TableMonitor, Verdict};
+use esw_verify::temporal::{CompiledMonitor, Formula, Verdict};
 use testkit::{Checker, Source};
 
 const NPROPS: usize = 3;
@@ -151,7 +151,7 @@ fn captured_witnesses_replay_to_the_same_decision() {
                         witness.decided_at, results[0].decided_at,
                         "{engine:?} for {f}"
                     );
-                    let mut fresh = TableMonitor::new(f).expect("synthesizable");
+                    let mut fresh = CompiledMonitor::new(f).expect("synthesizable");
                     let replay = witness.replay_with(&mut fresh);
                     assert_eq!(
                         replay.verdict, witness.verdict,
@@ -236,7 +236,7 @@ fn torn_write_witness_names_the_deciding_write_on_both_flows() {
         );
 
         // Replay reproduces False at the same deciding sample.
-        let mut fresh = TableMonitor::new(&intact_property()).expect("synthesizable");
+        let mut fresh = CompiledMonitor::new(&intact_property()).expect("synthesizable");
         let replay = witness.replay_with(&mut fresh);
         assert_eq!(replay.verdict, Verdict::False, "{flow:?}");
         assert_eq!(replay.decided_at, Some(decided_at), "{flow:?}");
