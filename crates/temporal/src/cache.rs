@@ -126,6 +126,34 @@ struct Inner {
     compiled_build_wall: Duration,
 }
 
+impl Inner {
+    /// The entry for `formula`'s canonical key, synthesizing its automaton
+    /// on a miss; the flag says whether this call synthesized it.
+    fn entry(
+        &mut self,
+        key: String,
+        formula: &Formula,
+    ) -> Result<(&mut Cached, bool), SynthesisError> {
+        match self.entries.entry(key) {
+            hash_map::Entry::Occupied(slot) => {
+                self.hits += 1;
+                Ok((slot.into_mut(), false))
+            }
+            hash_map::Entry::Vacant(slot) => {
+                let t0 = Instant::now();
+                let automaton = Arc::new(ArAutomaton::synthesize(formula)?);
+                self.synthesis_wall += t0.elapsed();
+                self.misses += 1;
+                let cached = Cached {
+                    automaton,
+                    kernel: None,
+                };
+                Ok((slot.insert(cached), true))
+            }
+        }
+    }
+}
+
 /// A synthesis cache: canonical IL text → one [`Arc`]-shared
 /// [`ArAutomaton`] and, once lowered, its [`CompiledKernel`].
 ///
@@ -159,32 +187,6 @@ impl SynthesisCache {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The entry for `formula`'s canonical key, synthesizing its automaton
-    /// on a miss; the flag says whether this call synthesized it.
-    fn entry<'a>(
-        inner: &'a mut Inner,
-        key: String,
-        formula: &Formula,
-    ) -> Result<(&'a mut Cached, bool), SynthesisError> {
-        match inner.entries.entry(key) {
-            hash_map::Entry::Occupied(slot) => {
-                inner.hits += 1;
-                Ok((slot.into_mut(), false))
-            }
-            hash_map::Entry::Vacant(slot) => {
-                let t0 = Instant::now();
-                let automaton = Arc::new(ArAutomaton::synthesize(formula)?);
-                inner.synthesis_wall += t0.elapsed();
-                inner.misses += 1;
-                let cached = Cached {
-                    automaton,
-                    kernel: None,
-                };
-                Ok((slot.insert(cached), true))
-            }
-        }
-    }
-
     /// Returns the automaton for `formula`, synthesizing on first use.
     ///
     /// # Errors
@@ -194,7 +196,7 @@ impl SynthesisCache {
     pub fn synthesize(&self, formula: &Formula) -> Result<Arc<ArAutomaton>, SynthesisError> {
         let key = canonical_key(formula)?;
         let mut inner = self.lock();
-        let (entry, _) = Self::entry(&mut inner, key, formula)?;
+        let (entry, _) = inner.entry(key, formula)?;
         Ok(entry.automaton.clone())
     }
 
@@ -218,7 +220,7 @@ impl SynthesisCache {
                 synthesized: false,
             });
         }
-        let (entry, synthesized) = Self::entry(&mut inner, key, formula)?;
+        let (entry, synthesized) = inner.entry(key, formula)?;
         let t0 = Instant::now();
         let kernel = Arc::new(CompiledKernel::lower(entry.automaton.clone()));
         entry.kernel = Some(kernel.clone());

@@ -228,8 +228,8 @@ impl CompiledMonitor {
         }
     }
 
-    /// The current state id (identical numbering to the source automaton,
-    /// so diagnosis state paths stay comparable across engines).
+    /// The current state id, in the automaton's own numbering (the
+    /// diagnosis layer records it as a witness's state path).
     pub fn state(&self) -> u32 {
         self.state
     }
