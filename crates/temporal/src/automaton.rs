@@ -233,9 +233,11 @@ impl ArAutomaton {
         self.next(state, v)
     }
 
-    /// Returns the verdict attached to a state.
+    /// Returns the verdict attached to a state (`state` must be in range;
+    /// debug builds check it).
     #[inline(always)]
     pub fn verdict(&self, state: u32) -> Verdict {
+        debug_assert!((state as usize) < self.state_count(), "state out of range");
         if state == self.accept {
             Verdict::True
         } else if state == self.reject {
@@ -248,6 +250,7 @@ impl ArAutomaton {
     /// Whether `state` is one of the two sinks.
     #[inline(always)]
     pub(crate) fn is_decided(&self, state: u32) -> bool {
+        debug_assert!((state as usize) < self.state_count(), "state out of range");
         state == self.accept || state == self.reject
     }
 }

@@ -16,11 +16,10 @@
 //!   atom sets (up to the synthesis limit of 12) fall back to
 //!   `columns.div_ceil(64)` packed words per state.
 //!
-//! [`CompiledMonitor`] holds the kernel and its automaton and steps them
-//! with no enum loads on the hot path: decidedness is two integer compares
-//! against the automaton's (at most two) sink state ids, and
-//! [`CompiledMonitor::step_run`] flushes an `n`-step stutter run without
-//! per-sample branching.
+//! [`CompiledMonitor`] steps the kernel with no enum loads on the hot path:
+//! decidedness is two integer compares against the automaton's (at most
+//! two) sink state ids, and [`CompiledMonitor::step_run`] flushes an
+//! `n`-step stutter run without per-sample branching.
 
 use std::fmt;
 use std::sync::Arc;
@@ -199,11 +198,6 @@ impl fmt::Debug for CompiledKernel {
 /// one run-table lookup.
 #[derive(Clone, Debug)]
 pub struct CompiledMonitor {
-    /// The kernel's automaton, held directly so that a step reaches the
-    /// jump table through one pointer, not two: the second dependent load
-    /// cost 2–4 % of the ledger's campaign and SMC throughput (2-core
-    /// x86-64 host).
-    automaton: Arc<ArAutomaton>,
     kernel: Arc<CompiledKernel>,
     state: u32,
     steps: u64,
@@ -227,7 +221,6 @@ impl CompiledMonitor {
     /// Wraps a shared (typically cache-resident) kernel.
     pub fn from_shared(kernel: Arc<CompiledKernel>) -> Self {
         CompiledMonitor {
-            automaton: kernel.automaton.clone(),
             kernel,
             state: ArAutomaton::INITIAL,
             steps: 0,
@@ -251,7 +244,7 @@ impl CompiledMonitor {
     /// that exactly: a run that decides at offset `d <= n` advances the
     /// step count by `d`, not `n`.
     pub fn step_run(&mut self, valuation: Valuation, n: u64) -> Verdict {
-        let automaton = &*self.automaton;
+        let automaton = &*self.kernel.automaton;
         let v = valuation as usize;
         debug_assert!(v < automaton.columns(), "valuation has unknown bits");
         if n == 0 || automaton.is_decided(self.state) {
@@ -300,7 +293,7 @@ impl CompiledMonitor {
 impl TraceMonitor for CompiledMonitor {
     #[inline]
     fn step(&mut self, valuation: Valuation) -> Verdict {
-        let automaton = &*self.automaton;
+        let automaton = &*self.kernel.automaton;
         let v = valuation as usize;
         debug_assert!(v < automaton.columns(), "valuation has unknown bits");
         self.state = automaton.next(self.state, v);
@@ -313,7 +306,7 @@ impl TraceMonitor for CompiledMonitor {
     }
 
     fn verdict(&self) -> Verdict {
-        self.automaton.verdict(self.state)
+        self.kernel.automaton.verdict(self.state)
     }
 
     fn steps(&self) -> u64 {
@@ -325,7 +318,7 @@ impl TraceMonitor for CompiledMonitor {
     }
 
     fn props(&self) -> &[String] {
-        self.automaton.props()
+        self.kernel.automaton.props()
     }
 
     fn reset(&mut self) {
@@ -359,18 +352,25 @@ mod tests {
             let mut compiled = CompiledMonitor::from_shared(kernel);
             let mut lazy = Monitor::new(&parse(text).unwrap()).unwrap();
             assert_eq!(lazy.props(), compiled.props());
-            // A constant formula starts in a sink: the table monitor counts
-            // its first step as the decision, progression counts none.
+            // A constant formula starts in a sink: the automaton walk counts
+            // its first step as the decision, progression counts none (see
+            // `Monitor`), so progression's index is compared only for
+            // formulas that start pending.
             let starts_decided = automaton.verdict(ArAutomaton::INITIAL).is_decided();
             let columns = automaton.columns() as u64;
             let mut state = ArAutomaton::INITIAL;
+            let mut expected = None;
             let mut v = 1u64;
             for i in 0..200u64 {
                 v = (v.wrapping_mul(6364136223846793005).wrapping_add(i)) % columns;
                 state = automaton.step(state, v);
+                if expected.is_none() && automaton.verdict(state).is_decided() {
+                    expected = Some(i + 1);
+                }
                 let verdict = compiled.step(v);
                 assert_eq!(compiled.state(), state, "{text} step {i}");
                 assert_eq!(verdict, automaton.verdict(state), "{text} step {i}");
+                assert_eq!(compiled.decided_at(), expected, "{text} step {i}");
                 assert_eq!(verdict, lazy.step(v), "{text} step {i}");
                 if !starts_decided {
                     assert_eq!(compiled.decided_at(), lazy.decided_at(), "{text}");
