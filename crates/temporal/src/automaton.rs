@@ -332,6 +332,16 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "state out of range")]
+    fn out_of_range_state_is_rejected_in_debug_builds() {
+        // No accept sink: an unchecked `verdict(u32::MAX)` would match the
+        // missing sink's sentinel id and answer True.
+        let aut = ArAutomaton::synthesize(&parse("G p").unwrap()).unwrap();
+        aut.verdict(u32::MAX);
+    }
+
+    #[test]
     fn constant_formula_decides_immediately() {
         let aut = ArAutomaton::synthesize(&parse("true").unwrap()).unwrap();
         assert_eq!(aut.verdict(ArAutomaton::INITIAL), Verdict::True);
